@@ -1,14 +1,33 @@
 """Numeric hot loops: candidate filtering for the Darboux search and the
 adaptive Runge-Kutta path integrator.
 
-Both kernels ship in two interchangeable builds: a numba-compiled one and
-a pure-numpy/python one.  Selection happens once at import time; setting
-the environment variable PAINLEVEKIT_DISABLE_NUMBA to a nonempty value
-forces the fallback.  Results are identical between builds (the test
-suite and the benchmark compare them).
+The candidate filter decides, for each integer cofactor vector g, whether
+the system A - sum_k g[k]*B[k] of a Darboux search can have a nonzero
+kernel.  It runs in two stages; the exact kernel of the survivors is the
+third stage of the search and lives in ``dvariety``:
+
+1. eigenvalue prefilter: the constant cofactor g[0] enters as g[0]*c*I on
+   the rows that are P's own monomials, so a kernel forces
+   det(N - g[0]*c*I) = 0 mod p for the square block N fixed by the other
+   coordinates.  One Hessenberg reduction per distinct prefix g[1:] and a
+   characteristic-polynomial recurrence at each g[0] in the box test all
+   candidates at once;
+2. full mod-p rank: one elimination of the full system per survivor.
+
+Both stages are sound (they drop only candidates whose system has full
+rank mod p, hence over Q), and the keep mask equals that of the full rank
+test alone.  The full-rank kernel and the integrator each ship in two
+interchangeable builds: a numba-compiled one and a pure-numpy/python one.
+Selection happens once at import time; setting the environment variable
+PAINLEVEKIT_DISABLE_NUMBA to a nonempty value forces the fallback.
+Results are identical between builds.
+
+``darboux_candidate_flags`` logs its stage counts at DEBUG level on the
+``painlevekit`` logger hierarchy.
 """
 
 import os
+import sys
 
 import numpy as np
 
@@ -26,7 +45,7 @@ MOD_P = 2_147_483_647
 
 
 # ---------------------------------------------------------------------------
-# stage-1 Darboux filter
+# full mod-p rank test
 #
 # For candidate cofactor coefficient vectors g, decide whether the system
 # matrix A - sum_k g[k]*B[k] can have a nontrivial rational kernel.  Full
@@ -151,14 +170,140 @@ def kernel_flags_numpy(A, B, cand, p, chunk=4096):
     return out
 
 
+# ---------------------------------------------------------------------------
+# eigenvalue prefilter
+#
+# When B[0] is c times a partial permutation (one nonzero per column, in
+# distinct rows S), the rows S of the system read N - g[0]*c*I with
+# N = A_S - sum_{k>=1} g[k]*B[k]_S square.  Full rank of that block implies
+# full rank of the system, so det(N - g[0]*c*I) = 0 mod p is a sound
+# keep-filter.  Every product below is of two residues, inside int64.
+
+
+def _identity_rows(B0):
+    """(rows S, c) when B0[S[j], j] = c != 0 is each column's only nonzero."""
+    C = B0.shape[1]
+    nz = B0 != 0
+    if C == 0 or not (nz.sum(axis=0) == 1).all():
+        return None
+    rows = np.argmax(nz, axis=0)
+    vals = B0[rows, np.arange(C)]
+    if not (vals == vals[0]).all() or np.unique(rows).size != C:
+        return None
+    return rows, int(vals[0])
+
+
+def _hessenberg_mod(H, p):
+    """Reduce each H[n] in place to upper Hessenberg form by similarity."""
+    C = H.shape[1]
+    for j in range(C - 2):
+        nzb = H[:, j + 1:, j] != 0
+        piv = j + 1 + np.argmax(nzb, axis=1)
+        s = np.nonzero(piv != j + 1)[0]
+        if s.size:
+            # swap rows and columns j+1 and piv: a permutation similarity
+            r = piv[s]
+            rows = H[s, j + 1].copy()
+            H[s, j + 1] = H[s, r]
+            H[s, r] = rows
+            cols = H[s, :, j + 1].copy()
+            H[s, :, j + 1] = H[s, :, r]
+            H[s, :, r] = cols
+        # without a pivot the column is already reduced: inv(0) = 0, f = 0
+        inv = _modinv_vec(H[:, j + 1, j], p)
+        f = (H[:, j + 2:, j] * inv[:, None]) % p
+        # rows i >= j+2 lose f_i * row j+1; column j+1 gains f_i * column i
+        H[:, j + 2:, j:] = (H[:, j + 2:, j:]
+                            - f[:, :, None] * H[:, j + 1, None, j:]) % p
+        H[:, :, j + 1] = (H[:, :, j + 1]
+                          + ((H[:, :, j + 2:] * f[:, None, :]) % p).sum(axis=2)) % p
+    return H
+
+
+def _charpoly_hessenberg(H, lams, p):
+    """det(lam*I - H[n]) mod p for upper Hessenberg H[n], shape (n, len(lams))."""
+    n, C, _ = H.shape
+    # P[:, :, k] = det of the leading k x k block of lam*I - H
+    P = np.empty((n, lams.size, C + 1), np.int64)
+    P[:, :, 0] = 1
+    for k in range(1, C + 1):
+        acc = ((lams[None, :] - H[:, k - 1, k - 1, None]) % p * P[:, :, k - 1]) % p
+        sub = np.ones(n, np.int64)
+        for i in range(k - 1, 0, -1):
+            sub = (sub * H[:, i, i - 1]) % p
+            coef = (H[:, i - 1, k - 1] * sub) % p
+            acc = (acc - coef[:, None] * P[:, :, i - 1]) % p
+        P[:, :, k] = acc
+    return P[:, :, C]
+
+
+def _distinct_rows(X):
+    """(distinct rows in lexicographic order, index of each row among them).
+
+    Same result as np.unique(X, axis=0, return_inverse=True), built from
+    one-dimensional uniques, which sort integers instead of row records.
+    """
+    key = np.zeros(len(X), np.int64)
+    for col in X.T:
+        vals, idx = np.unique(col, return_inverse=True)
+        # re-rank after each column so the key stays below len(X)
+        key = np.unique(key * len(vals) + idx, return_inverse=True)[1]
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    return X[first], inv
+
+
+def eigen_prefilter(A, B, cand, p):
+    """Keep-mask that contains the full rank test's; all True without an
+    identity block in B[0].  Inputs reduced mod p as in the full test.
+
+    Prefixes are processed in chunks of 1024, about 1.2 MB per chunk for a
+    12 x 12 block, so no candidate-sized array of matrices is built.
+    """
+    N, m = cand.shape
+    block = _identity_rows(B[0]) if m else None
+    if block is None:
+        return np.ones(N, bool)
+    rows, c = block
+    g0, g0_idx = np.unique(cand[:, 0], return_inverse=True)
+    prefixes, pre_idx = _distinct_rows(cand[:, 1:])
+    lams = (g0 % p) * c % p
+    prefixes = prefixes % p
+    AS = A[rows]
+    BS = B[1:, rows]
+    dets = np.empty((len(prefixes), g0.size), np.int64)
+    chunk = 1024
+    for s in range(0, len(prefixes), chunk):
+        g = prefixes[s:s + chunk]
+        H = np.broadcast_to(AS, (len(g),) + AS.shape).copy()
+        for k in range(m - 1):
+            H = (H - g[:, k, None, None] * BS[k]) % p
+        dets[s:s + chunk] = _charpoly_hessenberg(_hessenberg_mod(H, p), lams, p)
+    return dets[pre_idx, g0_idx] == 0
+
+
 def darboux_candidate_flags(A, B, cand, p=MOD_P):
-    """Boolean keep-mask over cofactor candidates (nontrivial kernel mod p)."""
+    """Boolean keep-mask over cofactor candidates (nontrivial kernel mod p).
+
+    The eigenvalue prefilter narrows the candidates; the full rank test
+    (numba build when present) decides on the survivors alone.
+    """
     A = np.ascontiguousarray(np.asarray(A, np.int64) % p)
     B = np.ascontiguousarray(np.asarray(B, np.int64) % p)
     cand = np.ascontiguousarray(np.asarray(cand, np.int64))
-    if kernel_flags_numba is not None:
-        return kernel_flags_numba(A, B, cand, p).astype(bool)
-    return kernel_flags_numpy(A, B, cand, p).astype(bool)
+    pre = np.nonzero(eigen_prefilter(A, B, cand, p))[0]
+    full = kernel_flags_numba if kernel_flags_numba is not None else kernel_flags_numpy
+    flags = np.zeros(len(cand), bool)
+    flags[pre] = full(A, B, cand[pre], p).astype(bool)
+    # a DEBUG record can only be wanted once logging has been imported to
+    # configure it; importing it here would cost every process start-up
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        log = logging.getLogger(__name__)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("darboux filter: %d candidates, %d after eigenvalue "
+                      "prefilter, %d after full rank (%s)", len(cand), len(pre),
+                      int(flags.sum()), "numba" if HAS_NUMBA else "numpy")
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +458,8 @@ def _dopri5_core(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
                 cnt += 1
             if bad:
                 fac = 0.2
+            elif err == 0.0:
+                fac = 5.0   # the clamp's value, without a zero to a negative power
             else:
                 fac = 0.9 * err ** -0.2
                 if fac < 0.2:

@@ -7,8 +7,8 @@ the phase variables.  This module provides:
 * apply_derivation    the action e*P^d + f*dP/dy + g*dP/dx
 * tangent_lift        the shifted tangent equations in u1, u2
 * verify_darboux      exact divisibility check D(P) = G*P
-* darboux_search      bounded enumeration of integer-coefficient cofactors
-                      with an exact linear kernel per candidate
+* darboux_search      bounded search over integer-coefficient cofactors:
+                      eigenvalue prefilter, full mod-p rank, exact kernel
 * first_integral_search  the G = 0 special case
 * rescale             multiply D by a nonzero factor (certificate transport)
 
@@ -339,15 +339,16 @@ def _fraction_kernel(rows: list, ncols: int) -> list:
     return basis
 
 
-def _build_system(D: DVectorField, bounds: SearchBounds):
+def _build_system(D: DVectorField, bounds: SearchBounds, gmonos: list):
     """Exact matrices for D(P) - G*P = 0 over the monomial bases.
 
-    Returns (cols, gmonos, A, Bmats, rows) where A maps P-coefficients to
-    D(P)-coefficients and Bmats[m] maps them to (gmono_m * P)-coefficients.
+    G runs over the span of the cofactor monomials gmonos; with none, the
+    system is D(P) = 0.  Returns (cols, A, Bmats, rows) where A maps
+    P-coefficients to D(P)-coefficients and Bmats[m] maps them to
+    (gmonos[m] * P)-coefficients.
     """
     table = D.table
     cols = _poly_monomials(bounds.deg_xy, bounds.deg_t)
-    gmonos = _cofactor_monomials(D, bounds)
     acols = []
     row_keys = set()
     for (i, j, k) in cols:
@@ -370,7 +371,28 @@ def _build_system(D: DVectorField, bounds: SearchBounds):
         for c, (i, j, k) in enumerate(cols):
             B[ridx[(i + gi, j + gj, k + gk)], c] = 1
         Bmats.append(B)
-    return cols, gmonos, A, Bmats, rows
+    return cols, A, Bmats, rows
+
+
+def _check_matrix_cap(rows: list, cols: list, max_matrix: int):
+    R, C = len(rows), len(cols)
+    if R * C > max_matrix:
+        raise SearchCapExceededError(
+            f"system matrix {R}x{C} exceeds the cap {max_matrix}")
+
+
+def _kernel_polys(table: SymbolTable, cols: list, M: list):
+    """Normalized nonconstant polynomials from the kernel basis of M, whose
+    columns are the coefficients of the monomials cols."""
+    for vec in _fraction_kernel(M, len(cols)):
+        P = PhasePoly(table, {})
+        for c, v in enumerate(vec):
+            if v:
+                i, j, k = cols[c]
+                P = P + _mono_poly(table, i, j, k).scale(table.const(v))
+        if P.is_zero() or _is_differential_constant(P):
+            continue
+        yield _normalize_found(P)
 
 
 def darboux_search(D: DVectorField, bounds: SearchBounds,
@@ -379,18 +401,26 @@ def darboux_search(D: DVectorField, bounds: SearchBounds,
     """All Darboux certificates with P within bounds and an enumerated
     integer-coefficient cofactor.
 
-    Two stages: a modular rank filter over every candidate cofactor
-    (sound: it only discards candidates whose system is provably full
-    rank), then exact Fraction elimination and re-verification.  Results
-    are normalized (P monic in grlex), deduplicated, and sorted.
+    Three stages, the first two in ``_accel.darboux_candidate_flags``:
+
+    1. eigenvalue prefilter: the constant cofactor coefficient is not
+       enumerated but solved for, as an eigenvalue mod p of the square
+       block the other coefficients fix;
+    2. full mod-p rank: an elimination of the whole system for each
+       survivor of stage 1;
+    3. exact kernel: Fraction elimination for each survivor of stage 2,
+       then re-verification of every polynomial found.
+
+    Stages 1 and 2 are sound: they only discard candidates whose system
+    is provably of full rank.  Results are normalized (P monic in grlex),
+    deduplicated, and sorted.
     """
     _require_rational_in_t(D)
     table = D.table
-    cols, gmonos, A, Bmats, rows = _build_system(D, bounds)
+    gmonos = _cofactor_monomials(D, bounds)
+    cols, A, Bmats, rows = _build_system(D, bounds, gmonos)
+    _check_matrix_cap(rows, cols, max_matrix)
     R, C = len(rows), len(cols)
-    if R * C > max_matrix:
-        raise SearchCapExceededError(
-            f"system matrix {R}x{C} exceeds the cap {max_matrix}")
     m = len(gmonos)
     width = 2 * bounds.cofactor_box + 1
     n_candidates = width ** m
@@ -427,15 +457,7 @@ def darboux_search(D: DVectorField, bounds: SearchBounds,
                 nz = np.nonzero(B)
                 for r, c in zip(*nz):
                     M[r][c] -= Fraction(int(coef))
-        for vec in _fraction_kernel(M, C):
-            P = PhasePoly(table, {})
-            for c, v in enumerate(vec):
-                if v:
-                    i, j, k = cols[c]
-                    P = P + _mono_poly(table, i, j, k).scale(table.const(v))
-            if P.is_zero() or _is_differential_constant(P):
-                continue
-            P = _normalize_found(P)
+        for P in _kernel_polys(table, cols, M):
             key = str(P)
             if key in found:
                 continue
@@ -449,36 +471,9 @@ def first_integral_search(D: DVectorField, bounds: SearchBounds,
                           max_matrix: int = 40_000) -> list:
     """Polynomials P within bounds with D(P) = 0, constants excluded."""
     _require_rational_in_t(D)
-    table = D.table
-    cols = _poly_monomials(bounds.deg_xy, bounds.deg_t)
-    acols = []
-    row_keys = set()
-    for (i, j, k) in cols:
-        DP = apply_derivation(D, _mono_poly(table, i, j, k))
-        rows = _poly_to_rows(DP)
-        acols.append(rows)
-        row_keys.update(rows)
-    rows = sorted(row_keys)
-    ridx = {key: n for n, key in enumerate(rows)}
-    R, C = len(rows), len(cols)
-    if R * C > max_matrix:
-        raise SearchCapExceededError(
-            f"system matrix {R}x{C} exceeds the cap {max_matrix}")
-    A = [[Fraction(0)] * C for _ in range(R)]
-    for c, rowdict in enumerate(acols):
-        for key, val in rowdict.items():
-            A[ridx[key]][c] = val
-    out = {}
-    for vec in _fraction_kernel(A, C):
-        P = PhasePoly(table, {})
-        for c, v in enumerate(vec):
-            if v:
-                i, j, k = cols[c]
-                P = P + _mono_poly(table, i, j, k).scale(table.const(v))
-        if P.is_zero() or _is_differential_constant(P):
-            continue
-        P = _normalize_found(P)
-        out[str(P)] = P
+    cols, A, _, rows = _build_system(D, bounds, [])
+    _check_matrix_cap(rows, cols, max_matrix)
+    out = {str(P): P for P in _kernel_polys(D.table, cols, A)}
     results = [out[k] for k in sorted(out)]
     for P in results:
         assert apply_derivation(D, P).is_zero()

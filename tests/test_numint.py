@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -285,6 +286,15 @@ def test_insufficient_samples():
     tr = integrate(_s2(), (1, 0.3, 0), PathSpec([1, 1.001]), tol=1e-6)
     with pytest.raises(InsufficientSamplesError, match="at least"):
         relation_probe(tr, degree=3)
+
+
+def test_zero_error_step_warns_nothing():
+    # the short path of test_insufficient_samples takes steps whose error
+    # estimate is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = integrate(_s2(), (1, 0.3, 0), PathSpec([1, 1.001]), tol=1e-6)
+    assert tr.status == numint.COMPLETED
 
 
 def test_probe_argument_validation():
