@@ -16,29 +16,19 @@ third stage of the search and lives in ``dvariety``:
 
 Both stages are sound (they drop only candidates whose system has full
 rank mod p, hence over Q), and the keep mask equals that of the full rank
-test alone.  The full-rank kernel and the integrator each ship in two
-interchangeable builds: a numba-compiled one and a pure-numpy/python one.
-Selection happens once at import time; setting the environment variable
-PAINLEVEKIT_DISABLE_NUMBA to a nonempty value forces the fallback.
-Results are identical between builds.
+test alone.  Both stages are vectorized numpy; the integrator is plain
+Python over complex scalars.
 
 ``darboux_candidate_flags`` logs its stage counts at DEBUG level on the
 ``painlevekit`` logger hierarchy.
 """
 
-import os
 import sys
 
 import numpy as np
 
+# there is one build; the flag stays for callers that record the backend
 HAS_NUMBA = False
-if not os.environ.get("PAINLEVEKIT_DISABLE_NUMBA"):
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        pass
 
 # Mersenne prime 2^31 - 1: residues square inside int64
 MOD_P = 2_147_483_647
@@ -51,69 +41,6 @@ MOD_P = 2_147_483_647
 # matrix A - sum_k g[k]*B[k] can have a nontrivial rational kernel.  Full
 # column rank mod p implies full rank over Q, so rank_p < ncols is a sound
 # keep-filter (false positives are removed by the exact stage).
-
-
-def _modinv(a, p):
-    t0, t1 = 0, 1
-    r0, r1 = p, a % p
-    while r1 != 0:
-        q = r0 // r1
-        t0, t1 = t1, t0 - q * t1
-        r0, r1 = r1, r0 - q * r1
-    return t0 % p
-
-
-if HAS_NUMBA:
-    _modinv = njit(cache=True)(_modinv)
-
-
-def _kernel_flags_loop(A, B, cand, p):
-    # one small dense elimination mod p per candidate
-    N = cand.shape[0]
-    R, C = A.shape
-    m = B.shape[0]
-    out = np.zeros(N, np.uint8)
-    for n in range(N):
-        M = A.copy()
-        for k in range(m):
-            c = cand[n, k]
-            if c != 0:
-                for i in range(R):
-                    for j in range(C):
-                        M[i, j] = (M[i, j] - c * B[k, i, j]) % p
-        rank = 0
-        row = 0
-        for col in range(C):
-            piv = -1
-            for i in range(row, R):
-                if M[i, col] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != row:
-                for j in range(col, C):
-                    tmp = M[row, j]
-                    M[row, j] = M[piv, j]
-                    M[piv, j] = tmp
-            inv = _modinv(M[row, col], p)
-            for j in range(col, C):
-                M[row, j] = (M[row, j] * inv) % p
-            for i in range(row + 1, R):
-                f = M[i, col]
-                if f != 0:
-                    for j in range(col, C):
-                        M[i, j] = (M[i, j] - f * M[row, j]) % p
-            row += 1
-            rank += 1
-            if rank == C:
-                break
-        if rank < C:
-            out[n] = 1
-    return out
-
-
-kernel_flags_numba = njit(cache=True)(_kernel_flags_loop) if HAS_NUMBA else None
 
 
 def _modinv_vec(a, p):
@@ -129,12 +56,13 @@ def _modinv_vec(a, p):
     return result
 
 
-def kernel_flags_numpy(A, B, cand, p, chunk=4096):
+def kernel_flags_numpy(A, B, cand, p):
     # vectorized elimination over the candidate axis, chunked for memory
     N, m = cand.shape
     R, C = A.shape
     out = np.zeros(N, np.uint8)
     rr = np.arange(R)
+    chunk = 4096
     for s in range(0, N, chunk):
         g = cand[s:s + chunk]
         n = g.shape[0]
@@ -285,15 +213,14 @@ def darboux_candidate_flags(A, B, cand, p=MOD_P):
     """Boolean keep-mask over cofactor candidates (nontrivial kernel mod p).
 
     The eigenvalue prefilter narrows the candidates; the full rank test
-    (numba build when present) decides on the survivors alone.
+    decides on the survivors alone.
     """
-    A = np.ascontiguousarray(np.asarray(A, np.int64) % p)
-    B = np.ascontiguousarray(np.asarray(B, np.int64) % p)
-    cand = np.ascontiguousarray(np.asarray(cand, np.int64))
+    A = np.asarray(A, np.int64) % p
+    B = np.asarray(B, np.int64) % p
+    cand = np.asarray(cand, np.int64)
     pre = np.nonzero(eigen_prefilter(A, B, cand, p))[0]
-    full = kernel_flags_numba if kernel_flags_numba is not None else kernel_flags_numpy
     flags = np.zeros(len(cand), bool)
-    flags[pre] = full(A, B, cand[pre], p).astype(bool)
+    flags[pre] = kernel_flags_numpy(A, B, cand[pre], p).astype(bool)
     # a DEBUG record can only be wanted once logging has been imported to
     # configure it; importing it here would cost every process start-up
     logging = sys.modules.get("logging")
@@ -301,8 +228,8 @@ def darboux_candidate_flags(A, B, cand, p=MOD_P):
         log = logging.getLogger(__name__)
         if log.isEnabledFor(logging.DEBUG):
             log.debug("darboux filter: %d candidates, %d after eigenvalue "
-                      "prefilter, %d after full rank (%s)", len(cand), len(pre),
-                      int(flags.sum()), "numba" if HAS_NUMBA else "numpy")
+                      "prefilter, %d after full rank", len(cand), len(pre),
+                      int(flags.sum()))
     return flags
 
 
@@ -350,10 +277,6 @@ def _cpow(z, k):
     return out
 
 
-if HAS_NUMBA:
-    _cpow = njit(cache=True)(_cpow)
-
-
 def _eval_rhs(ex, co, de, x, y, t):
     num = 0j
     for n in range(ex.shape[0]):
@@ -364,24 +287,13 @@ def _eval_rhs(ex, co, de, x, y, t):
     return num / den
 
 
-if HAS_NUMBA:
-    _eval_rhs = njit(cache=True)(_eval_rhs)
-
-
 def _dopri5_core(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
                  blowup, hfloor, maxsteps):
     nseg = wps.shape[0] - 1
-    ts = np.empty(maxsteps + 2, np.complex128)
-    ys = np.empty(maxsteps + 2, np.complex128)
-    xs = np.empty(maxsteps + 2, np.complex128)
-    cnt = 0
     t = wps[0]
     y = y0
     x = x0
-    ts[cnt] = t
-    ys[cnt] = y
-    xs[cnt] = x
-    cnt += 1
+    ts, ys, xs = [t], [y], [x]
     status = STATUS_COMPLETED
     t_est = t
     steps = 0
@@ -398,8 +310,8 @@ def _dopri5_core(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
         k1y = u * _eval_rhs(fex, fco, fde, x, y, t)
         k1x = u * _eval_rhs(gex, gco, gde, x, y, t)
         while sigma < seglen:
-            if steps >= maxsteps or cnt >= maxsteps + 1:
-                return ts[:cnt], ys[:cnt], xs[:cnt], STATUS_ABORTED, t
+            if steps >= maxsteps:
+                return ts, ys, xs, STATUS_ABORTED, t
             steps += 1
             if h > seglen - sigma:
                 h = seglen - sigma
@@ -452,10 +364,9 @@ def _dopri5_core(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
                 x = x7
                 k1y = k7y
                 k1x = k7x
-                ts[cnt] = t
-                ys[cnt] = y
-                xs[cnt] = x
-                cnt += 1
+                ts.append(t)
+                ys.append(y)
+                xs.append(x)
             if bad:
                 fac = 0.2
             elif err == 0.0:
@@ -472,25 +383,20 @@ def _dopri5_core(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
                     status = STATUS_POLE
                 else:
                     status = STATUS_ABORTED
-                return ts[:cnt], ys[:cnt], xs[:cnt], status, t
-    return ts[:cnt], ys[:cnt], xs[:cnt], status, t_est
-
-
-dopri5_python = _dopri5_core
-dopri5_numba = njit(cache=True)(_dopri5_core) if HAS_NUMBA else None
+                return ts, ys, xs, status, t
+    return ts, ys, xs, status, t_est
 
 
 def dopri5_path(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
                 blowup=1e8, hfloor=1e-12, maxsteps=200_000):
-    """Integrate along the polyline; returns (t, y, x arrays, status, t_est)."""
-    fex = np.ascontiguousarray(np.asarray(fex, np.int64).reshape(-1, 3))
-    gex = np.ascontiguousarray(np.asarray(gex, np.int64).reshape(-1, 3))
-    fco = np.ascontiguousarray(np.asarray(fco, np.complex128))
-    gco = np.ascontiguousarray(np.asarray(gco, np.complex128))
-    fde = np.ascontiguousarray(np.asarray(fde, np.complex128))
-    gde = np.ascontiguousarray(np.asarray(gde, np.complex128))
-    wps = np.ascontiguousarray(np.asarray(wps, np.complex128))
-    impl = dopri5_numba if dopri5_numba is not None else dopri5_python
-    return impl(fex, fco, fde, gex, gco, gde, wps,
-                complex(y0), complex(x0), float(tol),
-                float(blowup), float(hfloor), int(maxsteps))
+    """Integrate along the polyline; returns (t, y, x lists, status, t_est)."""
+    fex = np.asarray(fex, np.int64).reshape(-1, 3)
+    gex = np.asarray(gex, np.int64).reshape(-1, 3)
+    fco = np.asarray(fco, np.complex128)
+    gco = np.asarray(gco, np.complex128)
+    fde = np.asarray(fde, np.complex128)
+    gde = np.asarray(gde, np.complex128)
+    wps = np.asarray(wps, np.complex128)
+    return _dopri5_core(fex, fco, fde, gex, gco, gde, wps,
+                        complex(y0), complex(x0), float(tol),
+                        float(blowup), float(hfloor), int(maxsteps))

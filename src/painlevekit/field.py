@@ -238,40 +238,18 @@ class _CancelBudgetExceeded(Exception):
     pass
 
 
-class _CancelBudget:
-    """Work meter for the optional quotient cancellation.
-
-    Only _phase_cancel arms it: cancelling common factors there is a
-    cosmetic reduction that exactness never depends on, so past the cap
-    the gcd gives up and the quotient is kept as built.  Canonicalization
-    gcds (FieldElem) run unmetered and stay exact.
-    """
-
-    __slots__ = ("remaining", "active")
-
-    def __init__(self):
-        self.remaining = 0
-        self.active = False
-
-    def arm(self, units: int):
-        self.active = True
-        self.remaining = units
-
-    def disarm(self):
-        self.active = False
-
-    def spend(self, units: int):
-        if self.active:
-            self.remaining -= units
-            if self.remaining < 0:
-                raise _CancelBudgetExceeded()
-
-
-_cancel_budget = _CancelBudget()
 _CANCEL_CAP = 400_000
 
 
-def _prem(a: dict, b: dict, v: int, n: int) -> dict:
+def _spend(budget, units: int):
+    """Charge units to a metered gcd; budget is [units left] or None."""
+    if budget is not None:
+        budget[0] -= units
+        if budget[0] < 0:
+            raise _CancelBudgetExceeded()
+
+
+def _prem(a: dict, b: dict, v: int, n: int, budget=None) -> dict:
     # pseudo-remainder of a by b in variable v
     db = _deg_in(b, v)
     lb = _coeff_in(b, v, db)
@@ -279,23 +257,28 @@ def _prem(a: dict, b: dict, v: int, n: int) -> dict:
     while r and _deg_in(r, v) >= db:
         dr = _deg_in(r, v)
         lr = _coeff_in(r, v, dr)
-        _cancel_budget.spend(len(lb) * len(r) + len(lr) * len(b))
+        _spend(budget, len(lb) * len(r) + len(lr) * len(b))
         shift = {_strip((0,) * v + (dr - db,)): Fraction(1)}
         r = _psub(_pmul(lb, r), _pmul(_pmul(lr, shift), b))
     return r
 
 
-def _content_in(a: dict, v: int, n: int) -> dict:
+def _content_in(a: dict, v: int, n: int, budget=None) -> dict:
     g: dict = {}
     for k in range(_deg_in(a, v) + 1):
         c = _coeff_in(a, v, k)
         if c:
-            g = _pgcd(g, c, n)
+            g = _pgcd(g, c, n, budget)
     return g
 
 
-def _pgcd(a: dict, b: dict, n: int) -> dict:
-    """Monic gcd in Q[symbols] via the primitive PRS."""
+def _pgcd(a: dict, b: dict, n: int, budget=None) -> dict:
+    """Monic gcd in Q[symbols] via the primitive PRS.
+
+    With a budget ([units left]) the work is metered and
+    _CancelBudgetExceeded is raised once it runs out; without one the gcd
+    runs to the end, as canonicalization needs.
+    """
     if not a:
         return _pmonic(b, n)
     if not b:
@@ -303,20 +286,20 @@ def _pgcd(a: dict, b: dict, n: int) -> dict:
     used = _vars_used(a) | _vars_used(b)
     if not used:
         return _pconst(1)
-    _cancel_budget.spend(len(a) + len(b))
+    _spend(budget, len(a) + len(b))
     v = max(used)
-    ca, cb = _content_in(a, v, n), _content_in(b, v, n)
+    ca, cb = _content_in(a, v, n, budget), _content_in(b, v, n, budget)
     pa = _pdiv_exact(a, ca, n)
     pb = _pdiv_exact(b, cb, n)
-    cg = _pgcd(ca, cb, n)
+    cg = _pgcd(ca, cb, n, budget)
     if _deg_in(pa, v) < _deg_in(pb, v):
         pa, pb = pb, pa
     while pb:
-        r = _prem(pa, pb, v, n)
+        r = _prem(pa, pb, v, n, budget)
         if r:
-            r = _pdiv_exact(r, _content_in(r, v, n), n)
+            r = _pdiv_exact(r, _content_in(r, v, n, budget), n)
         pa, pb = pb, r
-    pp = _pdiv_exact(pa, _content_in(pa, v, n), n)
+    pp = _pdiv_exact(pa, _content_in(pa, v, n, budget), n)
     return _pmonic(_pmul(cg, pp), n)
 
 
@@ -1200,7 +1183,8 @@ def _phase_cancel(num: PhasePoly, den: PhasePoly):
 
     Coefficient denominators are cleared first; radicals are treated as
     free variables, which can only miss cancellations, never create wrong
-    ones.
+    ones.  The cancellation is cosmetic, so its gcd is metered: past
+    _CANCEL_CAP units of work the quotient is kept as built.
     """
     table = num.table
     n = len(table)
@@ -1223,13 +1207,10 @@ def _phase_cancel(num: PhasePoly, den: PhasePoly):
     fn, mn = flatten(num)
     fd, md = flatten(den)
     total = n + 4
-    _cancel_budget.arm(_CANCEL_CAP)
     try:
-        g = _pgcd(fn, fd, total)
+        g = _pgcd(fn, fd, total, [_CANCEL_CAP])
     except _CancelBudgetExceeded:
         return num, den
-    finally:
-        _cancel_budget.disarm()
     if set(g) <= {()}:
         return num, den
 
@@ -1535,12 +1516,3 @@ def parse_poly(text: str, table: SymbolTable) -> PhasePoly:
     if isinstance(v, FieldElem):
         return PhasePoly.const(table, v)
     return v
-
-
-def arith(a, op: str, b):
-    """Four-function arithmetic dispatch used by the CLI layer."""
-    ops = {"add": lambda u, v: u + v, "sub": lambda u, v: u - v,
-           "mul": lambda u, v: u * v, "div": lambda u, v: u / v}
-    if op not in ops:
-        raise ValueError(f"unknown op {op!r}")
-    return ops[op](a, b)

@@ -215,6 +215,26 @@ def _radical_values(table) -> dict:
     return vals
 
 
+def _substitute_radicals(c, e, table, radvals) -> complex:
+    """complex(c) times radvals[i]**e[i] over the symbols after t (e[0]).
+
+    A symbol without a numeric value, such as a transcendental parameter,
+    raises NonNumericError.
+    """
+    z = complex(c)
+    for i in range(1, len(e)):
+        k = e[i]
+        if not k:
+            continue
+        v = radvals.get(i)
+        if v is None:
+            raise NonNumericError(
+                f"parameter {table.names[i]!r} has no numeric value; "
+                "numerical integration needs rational or radical values")
+        z *= v ** k
+    return z
+
+
 def _elem_complex(elem, radvals) -> complex:
     # radicands are differential constants, so t never shows up here
     table = elem.table
@@ -222,16 +242,7 @@ def _elem_complex(elem, radvals) -> complex:
     def ev(p):
         s = 0j
         for e, c in p.items():
-            z = complex(c)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                v = radvals.get(i)
-                if v is None:
-                    raise NonNumericError(
-                        f"symbol {table.names[i]!r} has no numeric value")
-                z *= v ** k
-            s += z
+            s += _substitute_radicals(c, e, table, radvals)
         return s
 
     return ev(elem.num) / ev(elem.den)
@@ -245,18 +256,8 @@ def _numeric_tpoly(pdict, table, radvals) -> np.ndarray:
     """
     out: dict = {}
     for e, c in pdict.items():
-        z = complex(c)
+        z = _substitute_radicals(c, e, table, radvals)
         dt = e[0] if len(e) > 0 else 0
-        for i in range(1, len(e)):
-            k = e[i]
-            if not k:
-                continue
-            v = radvals.get(i)
-            if v is None:
-                raise NonNumericError(
-                    f"parameter {table.names[i]!r} has no numeric value; "
-                    "numerical integration needs rational or radical values")
-            z *= v ** k
         out[dt] = out.get(dt, 0j) + z
     deg = max(out) if out else 0
     arr = np.zeros(deg + 1, dtype=np.complex128)
@@ -281,18 +282,8 @@ def _compile_component(comp: PhasePoly, radvals):
         if c.den != _pconst(1):
             raise ConstraintError("coefficient denominator survived clearing")
         for pe, fr in c.num.items():
-            z = complex(fr)
+            z = _substitute_radicals(fr, pe, table, radvals)
             dt = pe[0] if len(pe) > 0 else 0
-            for i in range(1, len(pe)):
-                k = pe[i]
-                if not k:
-                    continue
-                v = radvals.get(i)
-                if v is None:
-                    raise NonNumericError(
-                        f"parameter {table.names[i]!r} has no numeric value; "
-                        "numerical integration needs rational or radical values")
-                z *= v ** k
             key = (e[0], e[1], dt)
             rows[key] = rows.get(key, 0j) + z
     keys = sorted(k for k, z in rows.items() if z != 0)

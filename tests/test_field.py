@@ -1,9 +1,11 @@
 """Exact-arithmetic layer: canonical forms, radicals, parsing, membership."""
 
+import threading
 from fractions import Fraction
 
 import pytest
 
+from painlevekit import field
 from painlevekit.errors import (
     DivisionByZeroError,
     NotDivisibleError,
@@ -21,6 +23,7 @@ from painlevekit.field import (
     exact_divide,
     membership_test,
     parse,
+    parse_poly,
 )
 
 
@@ -423,6 +426,65 @@ def test_phase_eval_complex():
     p = parse("x^2 - t*y", tab)
     v = p.eval_complex({"t": 2.0 + 0j}, x=3 + 0j, y=1 + 0j)
     assert abs(v - 7.0) < 1e-14
+
+
+def _common_factor_quotient(tab):
+    return parse_poly("(x + t)*(y - 1)", tab), parse_poly("(x + t)*(x + 2)", tab)
+
+
+def test_cancel_cap_keeps_the_quotient_as_built(monkeypatch):
+    tab = SymbolTable()
+    num, den = _common_factor_quotient(tab)
+    got = field._phase_cancel(num, den)
+    assert (str(got[0]), str(got[1])) == ("y - 1", "x + 2")
+    # the gcd of this pair costs 57 units of work
+    monkeypatch.setattr(field, "_CANCEL_CAP", 10)
+    got = field._phase_cancel(num, den)
+    assert got[0] is num and got[1] is den
+
+
+def test_cancel_budget_is_private_to_its_quotient(monkeypatch):
+    # thread A is held inside its metered gcd while this thread does
+    # FieldElem arithmetic, whose gcds (728 units) exceed A's cap of 200:
+    # they must run unmetered and leave A's budget alone
+    monkeypatch.setattr(field, "_CANCEL_CAP", 200)
+    tab = SymbolTable()
+    num, den = _common_factor_quotient(tab)
+    t = tab.t()
+
+    def arithmetic():
+        s = t * 0
+        for k in range(1, 9):
+            s = s + 1 / (t + k)
+        return s
+
+    want_a = [str(p) for p in field._phase_cancel(num, den)]
+    want_b = str(arithmetic())
+    assert want_a == ["y - 1", "x + 2"]
+
+    inside, b_done = threading.Event(), threading.Event()
+    content_in = field._content_in
+    got_a = []
+
+    def held(*args, **kwargs):
+        if threading.current_thread() is thread_a and not inside.is_set():
+            inside.set()
+            b_done.wait(10)
+        return content_in(*args, **kwargs)
+
+    monkeypatch.setattr(field, "_content_in", held)
+    thread_a = threading.Thread(
+        target=lambda: got_a.extend(str(p) for p in field._phase_cancel(num, den)))
+    thread_a.start()
+    try:
+        assert inside.wait(10)
+        got_b = str(arithmetic())
+    finally:
+        b_done.set()
+        thread_a.join(10)
+    assert not thread_a.is_alive()
+    assert got_b == want_b
+    assert got_a == want_a
 
 
 # ---------------------------------------------------------------------------

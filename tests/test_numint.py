@@ -1,12 +1,9 @@
-import os
-import subprocess
-import sys
 import warnings
 from fractions import Fraction as F
 
 import pytest
 
-from painlevekit import catalog, numint
+from painlevekit import _accel, catalog, numint
 from painlevekit.errors import (ConstraintError, InsufficientSamplesError,
                                 NonNumericError, PathError)
 from painlevekit.field import SymbolTable, parse
@@ -145,22 +142,16 @@ def test_determinism_is_bit_for_bit():
     assert a.to_csv() == b.to_csv()
 
 
-def test_numpy_fallback_matches_numba_exactly():
-    snippet = (
-        "from fractions import Fraction as F\n"
-        "from painlevekit import catalog, numint\n"
-        "inst = catalog.instantiate('S2', {'alpha': F(1, 2)})\n"
-        "tr = numint.integrate(inst, (1, 0.3, 1.18),"
-        " numint.PathSpec([1, 2 + 1j]), tol=1e-9)\n"
-        "print(tr.to_csv(), end='')\n")
-    outs = []
-    # any nonempty value forces the fallback; empty keeps the jit build
-    for disable in ("", "1"):
-        env = dict(os.environ, PAINLEVEKIT_DISABLE_NUMBA=disable)
-        r = subprocess.run([sys.executable, "-c", snippet], env=env,
-                           capture_output=True, text=True, check=True)
-        outs.append(r.stdout)
-    assert outs[0] == outs[1]
+def test_step_cap_aborts_with_one_sample_per_step():
+    # no step of this run is rejected before the 50th, so the capped run
+    # keeps the start and one sample per step; uncapped, it goes further
+    rhs = numint.compile_system(_s2(F(1, 2)))
+    args = rhs + ([1, 3], 0.3, 1.18, 1e-12)
+    ts, ys, xs, status, t_est = _accel.dopri5_path(*args, maxsteps=50)
+    assert status == _accel.STATUS_ABORTED
+    assert len(ts) == len(ys) == len(xs) == 51
+    assert t_est == ts[-1] and 1 < ts[-1].real < 3
+    assert len(_accel.dopri5_path(*args)[0]) > 51
 
 
 # -- invariant drift -----------------------------------------------------------
