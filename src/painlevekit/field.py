@@ -10,13 +10,32 @@ coefficients.  Canonical form:
   through their relations),
 * the denominator is free of radical symbols (conjugate rationalization),
 * gcd(numerator, denominator) = 1 and the denominator's leading
-  coefficient is 1.
+  coefficient is 1,
+* the terms of both dicts are listed by descending grlex (numeric
+  evaluation sums them in this order).
+
+Canonicalization skips the work that cannot change this form:
+
+* operands in which no radical symbol occurs skip the radical passes and
+  the conjugation, which would leave them as they are;
+* a rational constant denominator c needs no gcd, since gcd(num, c) = 1:
+  the numerator is divided by c;
+* a product or quotient of two radical-free canonical elements
+  n1/d1 * n2/d2 cancels only g1 = gcd(n1, d2) and g2 = gcd(n2, d1), each
+  skipped when one side is a constant.  Henrici's lemma (JACM 1956; Knuth,
+  TAOCP vol. 2, 4.5.1) makes (n1/g1 * n2/g2) / (d1/g2 * d2/g1) coprime
+  in the UFD Q[symbols], and monic factors keep the denominator monic.
+  For a quotient the divisor is inverted first, scaled so that its new
+  denominator is monic.  Operands with radicals take the full path: their
+  product may hold s^2, and rewriting it through s^2 = r and clearing s
+  from the denominator change both sides after any cross-cancellation.
 
 A small recursive-descent parser and a canonical printer round-trip the
 text grammar: rational literals, symbol names, + - * / ^ and parentheses,
-with ^ taking nonnegative integer exponents.  Expressions may also use
-the reserved phase variables x, y, u1, u2, in which case parsing yields a
-PhasePoly (polynomial in the phase variables over K).
+with ^ taking nonnegative integer exponents up to MAX_EXPONENT (100).
+Expressions may also use the reserved phase variables x, y, u1, u2, in
+which case parsing yields a PhasePoly (polynomial in the phase variables
+over K).
 
 All values are immutable; operations are pure functions.
 """
@@ -128,13 +147,6 @@ def _pscale(a: dict, c) -> dict:
     return {e: cc * c for e, cc in a.items()}
 
 
-def _ppow(a: dict, k: int) -> dict:
-    out = _pconst(1)
-    for _ in range(k):
-        out = _pmul(out, a)
-    return out
-
-
 def _plead(a: dict, n: int) -> tuple:
     # leading (exponent, coefficient) under grlex
     e = max(a, key=lambda ee: _grlex_key(ee, n))
@@ -176,39 +188,21 @@ def _pderiv_formal(a: dict, i: int) -> dict:
     return out
 
 
-def _psubs_one(a: dict, i: int, val: dict) -> dict:
-    # substitute polynomial val for symbol i
-    out: dict = {}
-    for e, c in a.items():
-        k = _exp_get(e, i)
-        ee = list(_pad(e, max(len(e), i + 1)))
-        ee[i] = 0
-        term = {_strip(tuple(ee)): c}
-        if k:
-            term = _pmul(term, _ppow(val, k))
-        out = _padd(out, term)
-    return out
-
-
-def _pcontent_rat(a: dict) -> Fraction:
-    # positive rational content; 1 for the empty poly
-    if not a:
-        return Fraction(1)
-    from math import gcd, lcm
-
-    num = 0
-    den = 1
-    for c in a.values():
-        num = gcd(num, abs(c.numerator))
-        den = lcm(den, c.denominator)
-    return Fraction(num, den) if num else Fraction(1)
-
-
 def _pmonic(a: dict, n: int) -> dict:
     if not a:
         return {}
     _, c = _plead(a, n)
     return _pscale(a, 1 / c)
+
+
+def _is_const(a: dict) -> bool:
+    # a nonzero rational constant
+    return len(a) == 1 and () in a
+
+
+def _grlex_sorted(a: dict, n: int) -> dict:
+    # the terms of a listed by descending grlex, as canonical forms keep them
+    return dict(sorted(a.items(), key=lambda kv: _grlex_key(kv[0], n), reverse=True))
 
 
 def _vars_used(a: dict) -> set:
@@ -297,7 +291,9 @@ def _pgcd(a: dict, b: dict, n: int, budget=None) -> dict:
     while pb:
         r = _prem(pa, pb, v, n, budget)
         if r:
-            r = _pdiv_exact(r, _content_in(r, v, n, budget), n)
+            # the content in v leaves a rational unit, which would grow
+            # without bound through univariate pseudo-remainders
+            r = _pmonic(_pdiv_exact(r, _content_in(r, v, n, budget), n), n)
         pa, pb = pb, r
     pp = _pdiv_exact(pa, _content_in(pa, v, n, budget), n)
     return _pmonic(_pmul(cg, pp), n)
@@ -590,7 +586,11 @@ class FieldElem:
         if isinstance(other, (PhasePoly, PhaseRational)):
             return NotImplemented
         o = as_elem(self.table, other)
-        return FieldElem(self.table, _pmul(self.num, o.num), _pmul(self.den, o.den))
+        table = self.table
+        if not _uses_radicals(table, self.num, self.den, o.num, o.den):
+            return FieldElem(table, *_henrici_product(self.num, self.den, o.num, o.den,
+                                                      len(table)), _canonical=True)
+        return FieldElem(table, _pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -600,7 +600,16 @@ class FieldElem:
         o = as_elem(self.table, other)
         if o.is_zero():
             raise DivisionByZeroError("division by zero field element")
-        return FieldElem(self.table, _pmul(self.num, o.den), _pmul(self.den, o.num))
+        table = self.table
+        if not _uses_radicals(table, self.num, self.den, o.num, o.den):
+            # o inverted: den/num, scaled so that its new denominator is monic
+            n = len(table)
+            _, lc = _plead(o.num, n)
+            inv_num, inv_den = (o.den, o.num) if lc == 1 else \
+                (_pscale(o.den, 1 / lc), _pscale(o.num, 1 / lc))
+            return FieldElem(table, *_henrici_product(self.num, self.den, inv_num, inv_den, n),
+                             _canonical=True)
+        return FieldElem(table, _pmul(self.num, o.den), _pmul(self.den, o.num))
 
     def __rtruediv__(self, other):
         return as_elem(self.table, other) / self
@@ -736,10 +745,40 @@ def _reduce_radicals(table: SymbolTable, p: dict):
         num, den = _pmul(n1, d2), _pmul(d1, n2)
 
 
+def _uses_radicals(table: SymbolTable, *polys) -> bool:
+    """Whether a radical symbol of the table occurs in any of polys."""
+    rads = table.radical_indices()
+    return bool(rads) and any(_exp_get(e, i) for p in polys for e in p for i in rads)
+
+
 def _canonicalize(table: SymbolTable, num: dict, den: dict):
     if not den:
         raise DivisionByZeroError("zero denominator")
     n = len(table)
+    if _uses_radicals(table, num, den):
+        num, den = _clear_radicals(table, num, den)
+        if not den:
+            raise DivisionByZeroError("denominator vanishes through the radical relations")
+    if not num:
+        return {}, _pconst(1)
+    if _is_const(den):
+        # gcd(num, c) = 1: dividing by c is the whole reduction
+        c = den[()]
+        if c == 1:
+            return _grlex_sorted(num, n), _pconst(1)
+        return _grlex_sorted({e: cc / c for e, cc in num.items()}, n), _pconst(1)
+    g = _pgcd(num, den, n)
+    num = _pdiv_exact(num, g, n)
+    den = _pdiv_exact(den, g, n)
+    _, lc = _plead(den, n)
+    if lc != 1:
+        num = _pscale(num, 1 / lc)
+        den = _pscale(den, 1 / lc)
+    return num, den
+
+
+def _clear_radicals(table: SymbolTable, num: dict, den: dict):
+    """num/den with radical exponents <= 1 and no radical in the denominator."""
     n1, d1 = _reduce_radicals(table, num)
     n2, d2 = _reduce_radicals(table, den)
     num, den = _pmul(n1, d2), _pmul(d1, n2)
@@ -771,16 +810,31 @@ def _canonicalize(table: SymbolTable, num: dict, den: dict):
         nn2, dd2 = _reduce_radicals(table, num)
         num = nn2
         den = _pmul(den, dd2)
-    if not num:
-        return {}, _pconst(1)
-    g = _pgcd(num, den, n)
-    num = _pdiv_exact(num, g, n)
-    den = _pdiv_exact(den, g, n)
-    _, lc = _plead(den, n)
-    if lc != 1:
-        num = _pscale(num, 1 / lc)
-        den = _pscale(den, 1 / lc)
     return num, den
+
+
+def _cancel_common(a: dict, b: dict, n: int):
+    """a/g and b/g for the monic g = gcd(a, b); no gcd when one is constant."""
+    if _is_const(a) or _is_const(b):
+        return a, b
+    g = _pgcd(a, b, n)
+    if _is_const(g):
+        return a, b
+    return _pdiv_exact(a, g, n), _pdiv_exact(b, g, n)
+
+
+def _henrici_product(n1: dict, d1: dict, n2: dict, d2: dict, n: int):
+    """Canonical (num, den) of (n1/d1)*(n2/d2) for canonical, radical-free factors.
+
+    Each factor is coprime with a monic denominator, so once g1 = gcd(n1, d2)
+    and g2 = gcd(n2, d1) are cancelled the two cross products are coprime
+    too, and their denominator stays monic (Henrici 1956).
+    """
+    if not n1 or not n2:
+        return {}, _pconst(1)
+    n1, d2 = _cancel_common(n1, d2, n)
+    n2, d1 = _cancel_common(n2, d1, n)
+    return _grlex_sorted(_pmul(n1, n2), n), _grlex_sorted(_pmul(d1, d2), n)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,12 +1063,6 @@ class PhasePoly:
             return self
         _, c = self.leading()
         return self.scale(self.table.one() / c)
-
-    def sort_key(self):
-        parts = []
-        for e, c in self.sorted_terms():
-            parts.append((e, str(c)))
-        return tuple(parts)
 
     def __repr__(self):
         return f"PhasePoly({self})"
@@ -1356,6 +1404,10 @@ def _phase_str(p: PhasePoly) -> str:
 # ---------------------------------------------------------------------------
 # parser
 
+# Largest exponent the parser accepts after ^.  The catalog's forms use at
+# most 4; the cap keeps a typo like x^99999999 from looping for hours.
+MAX_EXPONENT = 100
+
 
 class _Tok:
     __slots__ = ("kind", "text", "pos")
@@ -1458,6 +1510,8 @@ class _Parser:
             if t.kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", caret.pos + 1)
             self.take()
+            if len(t.text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(t.text) > MAX_EXPONENT:
+                raise ParseError(f"exponent {t.text} is above the cap {MAX_EXPONENT}", t.pos)
             v = v ** int(t.text)
         return -v if neg else v
 
@@ -1465,7 +1519,11 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.take()
-            return PhaseRational.const(self.table, int(t.text))
+            try:
+                return PhaseRational.const(self.table, int(t.text))
+            except ValueError:  # past Python's limit on digits in int()
+                raise ParseError(f"integer literal of {len(t.text)} digits is too long",
+                                 t.pos) from None
         if t.kind == "name":
             self.take()
             if t.text in PHASE_VARS:

@@ -10,6 +10,7 @@ certificates in dvariety.
 """
 
 import cmath
+import math
 
 import numpy as np
 
@@ -52,6 +53,23 @@ def fixed_singularities(family: str) -> tuple:
     return _FIXED_SING.get(family, ())
 
 
+def _finite_complex(v, what: str, error) -> complex:
+    """complex(v) for a number or for text that may write the imaginary unit
+    as i; error, quoting v, when v is unreadable or not finite."""
+    try:
+        try:
+            z = complex(v)
+        except ValueError:
+            if not isinstance(v, str):
+                raise
+            z = complex(v.replace("i", "j").replace("I", "j"))
+    except (TypeError, ValueError):
+        raise error(f"{what} {v!r} is not a complex number") from None
+    if not cmath.isfinite(z):
+        raise error(f"{what} {v!r} is not finite")
+    return z
+
+
 class PathSpec:
     """Polyline through the given waypoints in the complex t-plane.
 
@@ -62,12 +80,7 @@ class PathSpec:
     __slots__ = ("waypoints",)
 
     def __init__(self, waypoints):
-        pts = []
-        for w in waypoints:
-            try:
-                pts.append(complex(w))
-            except (TypeError, ValueError):
-                raise PathError(f"waypoint {w!r} is not a complex number") from None
+        pts = [_finite_complex(w, "waypoint", PathError) for w in waypoints]
         if not pts:
             raise PathError("a path needs at least one waypoint")
         for a, b in zip(pts, pts[1:]):
@@ -78,15 +91,9 @@ class PathSpec:
     @classmethod
     def parse(cls, text: str) -> "PathSpec":
         """Comma-separated waypoints, each a+bi (i or j accepted)."""
-        pts = []
-        for tok in text.split(","):
-            tok = tok.strip().replace("i", "j").replace("I", "j")
-            if not tok:
-                raise PathError("empty waypoint in path text")
-            try:
-                pts.append(complex(tok))
-            except ValueError:
-                raise PathError(f"cannot read waypoint {tok!r}") from None
+        pts = [tok.strip() for tok in text.split(",")]
+        if not all(pts):
+            raise PathError("empty waypoint in path text")
         return cls(pts)
 
     def segments(self):
@@ -348,15 +355,17 @@ def _check_path(family: str, path: PathSpec) -> None:
 def integrate(instance, initial, path, tol: float = 1e-9) -> Trajectory:
     """Integrate instance.system from initial = (t0, y0, x0) along path.
 
-    t0 must be the first waypoint.  Returns a Trajectory whose status
-    distinguishes a completed run, an apparent movable pole (step size
-    collapsed while the state blew up), and an abort.
+    t0 must be the first waypoint.  Initial values may be numbers or text
+    like waypoints; non-finite values and tolerances are rejected.  Returns
+    a Trajectory whose status distinguishes a completed run, an apparent
+    movable pole (step size collapsed while the state blew up), and an
+    abort.
     """
     if not isinstance(path, PathSpec):
         path = PathSpec.parse(path) if isinstance(path, str) else PathSpec(path)
-    if not tol > 0:
-        raise ConstraintError("tolerance must be positive")
-    t0, y0, x0 = (complex(v) for v in initial)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ConstraintError(f"tolerance {tol!r} is not a positive finite number")
+    t0, y0, x0 = (_finite_complex(v, "initial value", ConstraintError) for v in initial)
     if t0 != path.waypoints[0]:
         raise PathError(
             f"initial t = {_cstr(t0)} is not the first waypoint "

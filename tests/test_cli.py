@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -60,6 +61,61 @@ def test_bad_initial_is_usage_error(capsys):
                         "--path", "1,2")
     assert code == 2
     assert "initial" in err.lower()
+
+
+# -- non-finite and oversized input: typed errors, no warnings ------------------
+
+
+def _run_strict(capsys, *argv):
+    """main(argv) with every warning raised as an error, as under -W error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _run(capsys, *argv)
+
+
+_S2_INTEGRATE = ("integrate", "--family", "S2", "--param", "alpha=-1/2")
+
+
+def test_nan_waypoint_is_rejected(capsys):
+    code, out, err = _run_strict(capsys, *_S2_INTEGRATE,
+                                 "--initial", "1,0.3,0", "--path", "1,nan")
+    assert code == 1 and out == ""
+    assert "PathError" in err and "'nan'" in err
+
+
+def test_nan_initial_value_is_rejected(capsys):
+    code, out, err = _run_strict(capsys, *_S2_INTEGRATE,
+                                 "--initial", "1,nan,0", "--path", "1,2")
+    assert code == 1 and out == ""
+    assert "ConstraintError" in err and "'nan'" in err
+
+
+def test_infinite_tolerance_is_rejected(capsys):
+    code, out, err = _run_strict(capsys, *_S2_INTEGRATE, "--initial", "1,0.3,0",
+                                 "--path", "1,2", "--tol", "inf")
+    assert code == 1 and out == ""
+    assert "ConstraintError" in err and "inf" in err
+
+
+def test_infinite_waypoint_message_quotes_the_input(capsys):
+    code, out, err = _run_strict(capsys, *_S2_INTEGRATE,
+                                 "--initial", "1,0.3,0", "--path", "1,inf")
+    assert code == 1 and out == ""
+    assert "PathError" in err and "'inf'" in err and "jnf" not in err
+
+
+def test_huge_exponent_is_refused(capsys):
+    code, out, err = _run_strict(capsys, "verify-invariant", "--family", "S2",
+                                 "--param", "alpha=1/2", "--poly", "x^99999999")
+    assert code == 1 and out == ""
+    assert "ParseError" in err and "99999999" in err
+
+
+def test_imaginary_unit_i_still_reads(capsys):
+    code, rep, _ = _run_json(capsys, *_S2_INTEGRATE, "--initial", "1,0.3+0.1i,0",
+                             "--path", "1,1.5+0.5i,2", "--tol", "1e-8")
+    assert code == 0
+    assert rep["verdict"] == "Completed"
 
 
 # -- domain errors ---------------------------------------------------------------

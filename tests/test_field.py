@@ -115,6 +115,71 @@ def test_equality_and_hash_on_canonical_form():
     assert len({a, b}) == 1
 
 
+# -- fast paths: less work, the same canonical form
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(field, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(field, name, counted)
+    return calls
+
+
+def test_polynomial_product_makes_no_gcd_call(monkeypatch):
+    tab = SymbolTable()
+    a = tab.declare_param("a")
+    t = tab.t()
+    p, q = t**2 + a * t - 3, 2 * t - a + 1
+    gcds = _counting(monkeypatch, "_pgcd")
+    prod = p * q
+    assert gcds == []
+    monkeypatch.undo()
+    assert prod == parse("2*t^3 + a*t^2 + t^2 - a^2*t + a*t - 6*t + 3*a - 3", tab)
+
+
+def test_radical_free_operands_skip_the_radical_passes(monkeypatch):
+    tab = SymbolTable()
+    a = tab.declare_param("a")
+    tab.declare_radical("s", 2)
+    t = tab.t()
+    x, y = (t + a) / (t - 1), (t - 1) / (a + 2)
+    passes = _counting(monkeypatch, "_reduce_radicals")
+    _ = x * y, x / y, x + y, x.d()
+    assert passes == []
+
+
+def test_radical_operand_takes_the_radical_passes(monkeypatch):
+    tab = SymbolTable()
+    s = tab.declare_radical("s", 2)
+    x, y = 1 + s, tab.t() + 1
+    passes = _counting(monkeypatch, "_reduce_radicals")
+    assert str(x * y) == "t*s + t + s + 1"
+    assert passes
+    assert str(x * x) == "2*s + 3"
+
+
+def test_radical_quotient_times_its_conjugate_factor():
+    tab = SymbolTable()
+    s = tab.declare_radical("s", 2)
+    q = (1 + s) / (1 - s)
+    assert str(q) == "-2*s - 3"
+    z = q * (1 - s)
+    assert z == 1 + s
+    assert (z.num, z.den) == ({(0, 1): 1, (): 1}, {(): 1})
+
+
+def test_denominator_vanishing_through_a_relation_is_division_by_zero():
+    tab = SymbolTable()
+    tab.declare_radical("s", 2)
+    with pytest.raises(DivisionByZeroError):
+        FieldElem(tab, {(): Fraction(1)}, {(0, 2): Fraction(1), (): Fraction(-2)})
+
+
 def test_zero_and_division_guards():
     tab = SymbolTable()
     t = tab.t()
@@ -547,6 +612,24 @@ def test_parse_error_positions():
     assert e.value.position == 2
     with pytest.raises(ParseError):
         parse("x^-2", tab)
+
+
+def test_exponent_cap():
+    tab = SymbolTable()
+    top = field.MAX_EXPONENT
+    assert str(parse(f"x^{top}", tab)) == f"x^{top}"
+    for text in (f"t^{top + 1}", "x^99999999", "x^" + "9" * 5000):
+        with pytest.raises(ParseError) as e:
+            parse(text, tab)
+        assert e.value.position == 2
+        assert "cap" in str(e.value)
+
+
+def test_overlong_integer_literal_is_a_parse_error():
+    tab = SymbolTable()
+    with pytest.raises(ParseError) as e:
+        parse("1 + " + "9" * 5000, tab)
+    assert e.value.position == 4
 
 
 def test_parse_syntactic_zero_division():

@@ -1,0 +1,366 @@
+"""FieldElem arithmetic checked against sympy, and a fixture of canonical forms.
+
+The property tests draw random elements of Q(t, a, b), and of the same
+field extended by one radical s with s^2 = 2/a, and compare +, -, *, /,
+d(), _pgcd, exact_divide and coeff_d with sympy's cancel, gcd and diff.
+Radical results are compared modulo the relation a*s^2 - 2.  Besides the
+value, every result must be in canonical form: coprime numerator and
+denominator, a monic denominator free of s, s to the power at most 1, and
+terms listed by descending grlex (numeric evaluation sums them in that
+order).
+
+The fixture ``data/canonical_forms.txt`` lists the str() of every
+FieldElem built by the exact layer's certification work on fixed inputs:
+the P3' scalings, the P3 -> P3' and P2 -> S2 maps, the Hamiltonian checks,
+a first-integral search, a classifier grid, and catalog.instantiate of
+every family with symbolic parameters.  Regenerate it with
+
+    PYTHONPATH=src python tests/test_field_oracle.py > tests/data/canonical_forms.txt
+
+only when a change is meant to alter canonical forms.
+"""
+
+import contextlib
+import pathlib
+from fractions import Fraction as F
+
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from painlevekit import catalog, dvariety, field, transforms
+from painlevekit.dvariety import DVectorField, SearchBounds
+from painlevekit.field import FieldElem, PhasePoly, SymbolTable, exact_divide
+
+FIXTURE = pathlib.Path(__file__).parent / "data" / "canonical_forms.txt"
+
+# derandomized, bounded and without a deadline, so tier-1 stays
+# deterministic and its time bounded
+ORACLE = settings(derandomize=True, max_examples=30, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+QT = SymbolTable()
+QT.declare_param("a")
+QT.declare_param("b")
+RT = SymbolTable()
+RT.declare_param("a")
+RT.declare_param("b")
+RT.declare_radical("s", F(2) / RT.sym("a"))
+
+T, A, B, S = sympy.symbols("t a b s")
+GENS = {id(QT): (T, A, B), id(RT): (T, A, B, S)}
+RELATION = {id(QT): None, id(RT): A * S ** 2 - 2}
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+def _polys(max_exp, min_size=0, max_size=3):
+    exps = st.tuples(*(st.integers(0, k) for k in max_exp)).map(field._strip)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    return st.dictionaries(exps, coeffs, min_size=min_size, max_size=max_size)
+
+
+def _fractions(table, small=False):
+    """(num, den) dicts; a denominator at most linear in s is nonzero in the field.
+
+    Sizes are kept where the primitive PRS gcd stays fast: rationalizing by
+    s doubles degrees, and small elements serve where several are multiplied.
+    """
+    if small:
+        return st.tuples(_polys((1,) * len(table), min_size=1, max_size=2),
+                         _polys((1,) * len(table), min_size=1, max_size=2))
+    if table is QT:
+        return st.tuples(_polys((2, 2, 2), min_size=1),
+                         _polys((1, 1, 1), min_size=1, max_size=2))
+    return st.tuples(_polys((1, 1, 1, 2), min_size=1),
+                     _polys((1, 1, 1, 1), min_size=1, max_size=2))
+
+
+def _elems(table, small=False):
+    return _fractions(table, small).map(lambda nd: FieldElem(table, *nd))
+
+
+def _phase_polys(table):
+    mono = st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 0, 0),
+                            (1, 1, 0, 0), (0, 2, 0, 0)])
+    return st.dictionaries(mono, _elems(table, small=True), max_size=2).map(
+        lambda terms: PhasePoly(table, terms))
+
+
+TABLES = st.sampled_from([QT, RT])
+
+
+# ---------------------------------------------------------------------------
+# sympy side
+
+
+def _sym_poly(p, gens):
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(g ** k for g, k in zip(gens, e)))
+                       for e, c in p.items()))
+
+
+def _sym(z: FieldElem):
+    gens = GENS[id(z.table)]
+    return _sym_poly(z.num, gens) / _sym_poly(z.den, gens)
+
+
+def _assert_grlex_ordered(z: FieldElem):
+    n = len(z.table)
+    for p in (z.num, z.den):
+        keys = [field._grlex_key(e, n) for e in p]
+        assert keys == sorted(keys, reverse=True)
+
+
+def _assert_canonical(z: FieldElem, ref):
+    """z is the canonical form of the sympy expression ref."""
+    gens, relation = GENS[id(z.table)], RELATION[id(z.table)]
+    _assert_grlex_ordered(z)
+    num, den = _sym_poly(z.num, gens), _sym_poly(z.den, gens)
+    if not z.num:
+        assert z.den == {(): 1}
+    assert sympy.Poly(den, *gens).LC(order="grlex") == 1
+    assert sympy.Poly(sympy.gcd(num, den), *gens).is_ground
+    rn, rd = sympy.fraction(sympy.together(ref))
+    diff = sympy.expand(num * rd - rn * den)
+    if relation is not None:
+        assert sympy.degree(num, S) <= 1
+        assert sympy.degree(den, S) <= 0
+        diff = sympy.prem(diff, relation, S)
+    assert sympy.expand(diff) == 0
+
+
+# ---------------------------------------------------------------------------
+# arithmetic against sympy
+
+
+@ORACLE
+@given(TABLES.flatmap(lambda tab: st.tuples(_fractions(tab), st.just(tab))))
+def test_construction_is_canonical(case):
+    (num, den), tab = case
+    gens = GENS[id(tab)]
+    _assert_canonical(FieldElem(tab, num, den), _sym_poly(num, gens) / _sym_poly(den, gens))
+
+
+@ORACLE
+@given(TABLES.flatmap(_elems))
+def test_zero_operands_give_canonical_zero(x):
+    zero = x.table.zero()
+    for z in (x * zero, zero * x, zero / x if x else zero, x - x, zero.d()):
+        _assert_canonical(z, 0)
+
+
+@ORACLE
+@given(TABLES.flatmap(lambda tab: st.tuples(_elems(tab), _elems(tab))))
+def test_sum_and_difference_match_sympy(pair):
+    x, y = pair
+    _assert_canonical(x + y, _sym(x) + _sym(y))
+    _assert_canonical(x - y, _sym(x) - _sym(y))
+
+
+@ORACLE
+@given(TABLES.flatmap(lambda tab: st.tuples(_elems(tab), _elems(tab))))
+def test_product_matches_sympy(pair):
+    x, y = pair
+    _assert_canonical(x * y, _sym(x) * _sym(y))
+
+
+@ORACLE
+@given(TABLES.flatmap(lambda tab: st.tuples(_elems(tab), _elems(tab))))
+def test_quotient_matches_sympy(pair):
+    x, y = pair
+    assume(not y.is_zero())
+    _assert_canonical(x / y, _sym(x) / _sym(y))
+
+
+@ORACLE
+@given(TABLES.flatmap(lambda tab: st.tuples(*(_elems(tab, small=True) for _ in range(3)))))
+def test_cross_cancellation_matches_sympy(triple):
+    # (x*g)/(y*g) and (x/g)*(g/y): the factor g must cancel across operands
+    x, y, g = triple
+    assume(not y.is_zero() and not g.is_zero())
+    _assert_canonical((x * g) / (y * g), _sym(x) / _sym(y))
+    _assert_canonical((x / g) * (g / y), _sym(x) / _sym(y))
+
+
+@ORACLE
+@given(TABLES.flatmap(_elems))
+def test_derivation_matches_sympy(x):
+    _assert_canonical(x.d(), sympy.diff(_sym(x), T))
+
+
+@ORACLE
+@given(_polys((2, 2, 2)), _polys((2, 2, 2)), _polys((2, 2, 2)))
+def test_pgcd_matches_sympy(f, g, h):
+    gens = GENS[id(QT)]
+    n = len(QT)
+    p, q = field._pmul(f, g), field._pmul(f, h)
+    ours = field._pgcd(p, q, n)
+    ref = sympy.gcd(_sym_poly(p, gens), _sym_poly(q, gens))
+    if ref == 0:
+        assert ours == {}
+        return
+    lc = sympy.Poly(ref, *gens).LC(order="grlex")
+    assert sympy.expand(_sym_poly(ours, gens) - ref / lc) == 0
+
+
+def _sym_phase(P: PhasePoly):
+    X, Y = sympy.symbols("x y")
+    return sympy.Add(*(_sym(c) * X ** e[0] * Y ** e[1] for e, c in P.terms.items()))
+
+
+@ORACLE
+@given(TABLES.flatmap(lambda tab: st.tuples(_phase_polys(tab), _phase_polys(tab))))
+def test_exact_divide_matches_sympy(pair):
+    p, d = pair
+    assume(not d.is_zero())
+    assert exact_divide(p * d, d) == p
+    q = exact_divide(p, d)
+    ratio = sympy.cancel(_sym_phase(p) / _sym_phase(d))
+    divisible = not (sympy.fraction(ratio)[1].free_symbols & set(sympy.symbols("x y")))
+    if RELATION[id(p.table)] is None:
+        # over Q(t, a, b) sympy's verdict is the reference
+        assert (q is not None) == divisible
+    if q is not None:
+        rest = sympy.together(_sym_phase(q) * _sym_phase(d) - _sym_phase(p))
+        num = sympy.expand(sympy.fraction(rest)[0])
+        if RELATION[id(p.table)] is not None:
+            num = sympy.prem(num, RELATION[id(p.table)], S)
+        assert sympy.expand(num) == 0
+
+
+@ORACLE
+@given(TABLES.flatmap(_phase_polys))
+def test_coeff_d_matches_sympy(P):
+    out = P.coeff_d()
+    for e, c in P.terms.items():
+        dc = out.coefficient(e)
+        _assert_canonical(dc, sympy.diff(_sym(c), T))
+    assert set(out.terms) <= set(P.terms)
+
+
+# ---------------------------------------------------------------------------
+# canonical forms built by the exact layer, against the fixture
+
+
+@contextlib.contextmanager
+def _recording_elements():
+    built = []
+    init = FieldElem.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    FieldElem.__init__ = record
+    try:
+        yield built
+    finally:
+        FieldElem.__init__ = init
+
+
+_GREEK = ("alpha", "beta", "gamma", "delta")
+
+
+def _scaling(relation, delta):
+    tab = SymbolTable()
+    ps = {n: tab.declare_param(n) for n in _GREEK}
+    src = catalog.instantiate("P3prime", ps, table=tab)
+    vmap = transforms.p3prime_scaling_map(tab, relation)
+    lam, mu = tab.sym("lam"), tab.sym("mu")
+    if relation == "general":
+        tparams = {"alpha": lam * ps["alpha"], "beta": mu * ps["beta"] / lam,
+                   "gamma": lam ** 2 * ps["gamma"],
+                   "delta": mu ** 2 * ps["delta"] / lam ** 2}
+    else:
+        tparams = {"alpha": lam * ps["alpha"], "beta": mu * ps["beta"] / lam,
+                   "gamma": 4, "delta": delta}
+    tgt = catalog.instantiate("P3prime", tparams, table=tab)
+    return transforms.verify_transform(src, vmap, tgt)
+
+
+def _p3_to_p3prime(alt):
+    tab = SymbolTable()
+    ps = {n: tab.declare_param(n) for n in _GREEK}
+    src = catalog.instantiate("P3", ps, table=tab)
+    tgt = catalog.instantiate("P3prime", ps, table=tab)
+    return transforms.verify_transform(src, transforms.p3_to_p3prime_map(tab, alt=alt), tgt)
+
+
+def _p2_to_s2():
+    tab = SymbolTable()
+    a = tab.declare_param("alpha")
+    p2 = catalog.instantiate("P2", {"alpha": a}, table=tab)
+    s2 = catalog.instantiate("S2", {"alpha": a}, table=tab)
+    return transforms.verify_transform(p2, transforms.p2_to_s2_map(tab), s2)
+
+
+def _hamiltonians():
+    tab = SymbolTable()
+    v1, v2 = tab.declare_param("v1"), tab.declare_param("v2")
+    s3p = catalog.instantiate("S3prime", {"v1": v1, "v2": v2}, table=tab)
+    p1 = catalog.instantiate("P1", {})
+    return (transforms.hamiltonian_check(s3p.hamiltonian, s3p.system),
+            transforms.hamiltonian_check(p1.hamiltonian, p1.system))
+
+
+def _symbolic_instances():
+    for family in catalog.FAMILIES:
+        tab = SymbolTable()
+        ps = {n: tab.declare_param(n) for n in catalog.parameter_names(family)}
+        if family == "S4":
+            ps["v3"] = -ps["v1"] - ps["v2"]
+        elif family == "S5":
+            ps["v4"] = -ps["v1"] - ps["v2"] - ps["v3"]
+        catalog.instantiate(family, ps, table=tab)
+
+
+_CLASSIFY_POINTS = (
+    ("P2", {"alpha": F(1, 3)}), ("P2", {"alpha": F(5, 2)}),
+    ("S3prime", {"v1": F(1, 3), "v2": F(2, 5)}), ("S3prime", {"v1": F(1, 2), "v2": F(5, 2)}),
+    ("S4", {"v1": F(1, 3), "v2": F(2, 5), "v3": F(-11, 15)}),
+    ("S4", {"v1": F(1, 2), "v2": F(3, 2), "v3": F(-2)}),
+    ("S5", {"v1": F(1, 3), "v2": F(2, 5), "v3": F(-1, 7), "v4": F(-62, 105)}),
+    ("S5", {"v1": F(1, 2), "v2": F(3, 2), "v3": F(1, 3), "v4": F(-7, 3)}),
+    ("S6", {"a1": F(1, 3), "a2": F(2, 5), "a3": F(3, 7), "a4": F(1, 4)}),
+    ("S6", {"a1": F(1, 3), "a2": F(2, 5), "a3": F(4, 3), "a4": F(1, 4)}),
+)
+
+
+def _exact_layer_work():
+    for relation, delta in (("printed", -4), ("printed", F(1, 4)),
+                            ("corrected", -4), ("general", None)):
+        _scaling(relation, delta)
+    _p3_to_p3prime(False)
+    _p3_to_p3prime(True)
+    _p2_to_s2()
+    _hamiltonians()
+    _symbolic_instances()
+    s4 = catalog.instantiate("S4", {"v1": F(1, 3), "v2": F(-2, 5), "v3": F(1, 15)})
+    dvariety.first_integral_search(s4.derivation, SearchBounds(3, 2))
+    free = SymbolTable()
+    dvariety.first_integral_search(DVectorField(free, 1, PhasePoly.var(free, "x"), 0),
+                                   SearchBounds(2, 2))
+    for family, params in _CLASSIFY_POINTS:
+        catalog.classify(family, params)
+
+
+def canonical_forms() -> str:
+    """Sorted distinct str() of the elements the exact-layer work builds."""
+    with _recording_elements() as built:
+        _exact_layer_work()
+    for z in built:
+        _assert_grlex_ordered(z)
+    return "".join(f"{s}\n" for s in sorted({str(z) for z in built}))
+
+
+def test_canonical_forms_match_the_fixture():
+    assert canonical_forms().encode() == FIXTURE.read_bytes()
+
+
+if __name__ == "__main__":
+    import sys
+
+    sys.stdout.write(canonical_forms())
