@@ -16,13 +16,29 @@ third stage of the search and lives in ``dvariety``:
 
 Both stages are sound (they drop only candidates whose system has full
 rank mod p, hence over Q), and the keep mask equals that of the full rank
-test alone.  Both stages are vectorized numpy; the integrator is plain
-Python over complex scalars.
+test alone.  Both stages are vectorized numpy.
+
+The integrator is Dormand-Prince 5(4) on Python complex and float
+scalars.  ``compile_rhs`` turns the compiled system into the source of one
+straight-line function that returns both right-hand-side components,
+computes each power of x, y and t once, and binds the coefficients by name
+in its namespace; ``exec`` compiles it once per ``dopri5_path`` call.  The
+loop keeps the operation order it had when it ran on numpy scalars, so
+trajectories are bit for bit what they were.  Python's complex ``*`` and
+``+`` round as numpy's scalar ones do, and ``r ** 2`` and ``err ** -0.2``
+call the same libm ``pow``.  Python's complex ``/`` does not: numpy
+divides by Smith's method scaled by a reciprocal, so the quotient by a
+denominator in t, and the unit direction of each segment, are computed by
+that formula (``_cdiv``).  Where numpy returned inf or nan, Python raises
+(float division by zero, ``abs`` or ``**`` past the float range); the loop
+catches those cases and carries on with the value numpy had, so a huge or
+non-finite state ends in a pole or an abort, never in a warning.
 
 ``darboux_candidate_flags`` logs its stage counts at DEBUG level on the
 ``painlevekit`` logger hierarchy.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -270,29 +286,143 @@ STATUS_POLE = 1
 STATUS_ABORTED = 2
 
 
-def _cpow(z, k):
-    out = 1 + 0j
-    for _ in range(k):
-        out *= z
-    return out
+def _fdiv(a, b):
+    """a / b in IEEE arithmetic: inf or nan where Python raises."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a != a or a == 0.0:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _eval_rhs(ex, co, de, x, y, t):
-    num = 0j
-    for n in range(ex.shape[0]):
-        num += co[n] * _cpow(x, ex[n, 0]) * _cpow(y, ex[n, 1]) * _cpow(t, ex[n, 2])
-    den = 0j
-    for i in range(de.shape[0] - 1, -1, -1):
-        den = den * t + de[i]
-    return num / den
+def _cdiv(n, d):
+    """n / d as numpy divides complex128: Smith's method scaled by a
+    reciprocal, with inf or nan where Python's float division raises."""
+    nr, ni, dr, di = n.real, n.imag, d.real, d.imag
+    if abs(dr) >= abs(di):
+        if dr == 0.0:
+            return complex(_fdiv(nr, 0.0), _fdiv(ni, 0.0))
+        rat = di / dr
+        scl = 1.0 / (dr + di * rat)
+        return complex((nr + ni * rat) * scl, (ni - nr * rat) * scl)
+    rat = _fdiv(dr, di)
+    scl = 1.0 / (di + dr * rat)
+    return complex((nr * rat + ni) * scl, (ni * rat - nr) * scl)
 
 
-def _dopri5_core(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
-                 blowup, hfloor, maxsteps):
-    nseg = wps.shape[0] - 1
+def _cabs(z):
+    """abs(z), or inf where the modulus overflows a float."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _numerator_source(name, ex, powers):
+    # summed from 0j, so that exact zeros come out as +0
+    terms = ["0j"]
+    for n, (i, j, k) in enumerate(ex.tolist()):
+        factors = [f"{name}{n}"]
+        for var, e in (("x", i), ("y", j), ("t", k)):
+            if e:
+                factors.append(var if e == 1 else f"{var}{e}")
+                powers[var] = max(powers[var], e)
+        terms.append(" * ".join(factors))
+    return " + ".join(terms)
+
+
+def _denominator_source(name, de):
+    # Horner from 0j in t, highest coefficient first
+    src = "0j"
+    for i in range(len(de) - 1, -1, -1):
+        src = f"({src} * t + {name}{i})"
+    return src
+
+
+# numpy's complex128 quotient of both numerators by one denominator d,
+# with _cdiv taking over where a float division by zero would raise
+_SHARED_QUOTIENT = """\
+    dr = d.real
+    di = d.imag
+    fr = nf.real
+    fi = nf.imag
+    gr = ng.real
+    gi = ng.imag
+    try:
+        if abs(dr) >= abs(di):
+            rat = di / dr
+            scl = 1.0 / (dr + di * rat)
+            return (complex((fr + fi * rat) * scl, (fi - fr * rat) * scl),
+                    complex((gr + gi * rat) * scl, (gi - gr * rat) * scl))
+        rat = dr / di
+        scl = 1.0 / (di + dr * rat)
+        return (complex((fr * rat + fi) * scl, (fi * rat - fr) * scl),
+                complex((gr * rat + gi) * scl, (gi * rat - gr) * scl))
+    except ZeroDivisionError:
+        return _cdiv(nf, d), _cdiv(ng, d)
+"""
+
+
+def compile_rhs(fex, fco, fde, gex, gco, gde):
+    """The system as one generated function (x, y, t) -> (y', x') on
+    Python complex scalars.
+
+    Each component is N(x, y, t)/D(t): N by integer exponent triples
+    (x, y, t) and complex coefficients, D by its dense coefficients in t,
+    ascending.  The generated code computes each power of x, y and t once,
+    as the chained product x*x*...*x, sums the terms of N in their given
+    order starting from 0j, and evaluates D by Horner from 0j.
+    Coefficients are names bound in the function's namespace, never text
+    in its source.  A denominator that is the constant 1 is not divided
+    by: a numerator summed from 0j has no -0 part, so numpy's division by
+    1 would return it unchanged.  Otherwise both components share one
+    evaluation of D and one quotient by numpy's complex128 formula
+    (``_cdiv``), which Python's own complex ``/`` does not reproduce.
+    """
+    ns = {"_cdiv": _cdiv}
+    powers = {"x": 0, "y": 0, "t": 0}
+    nums = []
+    for name, ex, co in (("f", fex, fco), ("g", gex, gco)):
+        ex = np.asarray(ex, np.int64).reshape(-1, 3)
+        for n, c in enumerate(np.asarray(co, np.complex128).tolist()):
+            ns[f"{name}{n}"] = c
+        nums.append(_numerator_source(name, ex, powers))
+    fdl, gdl = (np.asarray(de, np.complex128).tolist() for de in (fde, gde))
+    for name, de in (("fd", fdl), ("gd", gdl)):
+        for i, c in enumerate(de):
+            ns[f"{name}{i}"] = c
+
+    lines = ["def rhs(x, y, t):"]
+    for var, top in powers.items():
+        for e in range(2, top + 1):
+            prev = var if e == 2 else f"{var}{e - 1}"
+            lines.append(f"    {var}{e} = {prev} * {var}")
+    lines.append(f"    nf = {nums[0]}")
+    lines.append(f"    ng = {nums[1]}")
+    if fdl == gdl and fdl != [1]:
+        lines.append(f"    d = {_denominator_source('fd', fdl)}")
+        lines.append(_SHARED_QUOTIENT.rstrip("\n"))
+    else:
+        # a denominator of 1, or two different denominators
+        f = "nf" if fdl == [1] else f"_cdiv(nf, {_denominator_source('fd', fdl)})"
+        g = "ng" if gdl == [1] else f"_cdiv(ng, {_denominator_source('gd', gdl)})"
+        lines.append(f"    return {f}, {g}")
+    src = "\n".join(lines) + "\n"
+    exec(compile(src, "<painlevekit rhs>", "exec"), ns)
+    return ns["rhs"]
+
+
+def _dopri5_core(rhs, wps, y0, x0, tol, blowup, hfloor, maxsteps):
+    # Python complex and float scalars throughout; the order of every
+    # operation is part of the result, which tests/data/trajectories.txt
+    # pins bit for bit
+    nseg = len(wps) - 1
     t = wps[0]
     y = y0
     x = x0
+    ay = _cabs(y)
+    ax = _cabs(x)
     ts, ys, xs = [t], [y], [x]
     status = STATUS_COMPLETED
     t_est = t
@@ -300,15 +430,16 @@ def _dopri5_core(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
     for seg in range(nseg):
         a = wps[seg]
         b = wps[seg + 1]
-        seglen = abs(b - a)
-        u = (b - a) / seglen
+        seglen = _cabs(b - a)
+        u = _cdiv(b - a, complex(seglen))
         sigma = 0.0
         h = seglen * 1e-3
         if h > 1e-2:
             h = 1e-2
         # first stage recomputed per segment: the direction changed
-        k1y = u * _eval_rhs(fex, fco, fde, x, y, t)
-        k1x = u * _eval_rhs(gex, gco, gde, x, y, t)
+        fy, fx = rhs(x, y, t)
+        k1y = u * fy
+        k1x = u * fx
         while sigma < seglen:
             if steps >= maxsteps:
                 return ts, ys, xs, STATUS_ABORTED, t
@@ -318,50 +449,65 @@ def _dopri5_core(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
             t2 = t + _C2 * h * u
             y2 = y + h * (_A21 * k1y)
             x2 = x + h * (_A21 * k1x)
-            k2y = u * _eval_rhs(fex, fco, fde, x2, y2, t2)
-            k2x = u * _eval_rhs(gex, gco, gde, x2, y2, t2)
+            fy, fx = rhs(x2, y2, t2)
+            k2y = u * fy
+            k2x = u * fx
             t3 = t + _C3 * h * u
             y3 = y + h * (_A31 * k1y + _A32 * k2y)
             x3 = x + h * (_A31 * k1x + _A32 * k2x)
-            k3y = u * _eval_rhs(fex, fco, fde, x3, y3, t3)
-            k3x = u * _eval_rhs(gex, gco, gde, x3, y3, t3)
+            fy, fx = rhs(x3, y3, t3)
+            k3y = u * fy
+            k3x = u * fx
             t4 = t + _C4 * h * u
             y4 = y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
             x4 = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
-            k4y = u * _eval_rhs(fex, fco, fde, x4, y4, t4)
-            k4x = u * _eval_rhs(gex, gco, gde, x4, y4, t4)
+            fy, fx = rhs(x4, y4, t4)
+            k4y = u * fy
+            k4x = u * fx
             t5 = t + _C5 * h * u
             y5 = y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
             x5 = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
-            k5y = u * _eval_rhs(fex, fco, fde, x5, y5, t5)
-            k5x = u * _eval_rhs(gex, gco, gde, x5, y5, t5)
+            fy, fx = rhs(x5, y5, t5)
+            k5y = u * fy
+            k5x = u * fx
             t6 = t + h * u
             y6 = y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y
                           + _A64 * k4y + _A65 * k5y)
             x6 = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x
                           + _A64 * k4x + _A65 * k5x)
-            k6y = u * _eval_rhs(fex, fco, fde, x6, y6, t6)
-            k6x = u * _eval_rhs(gex, gco, gde, x6, y6, t6)
+            fy, fx = rhs(x6, y6, t6)
+            k6y = u * fy
+            k6x = u * fx
             t7 = t + h * u
             y7 = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
             x7 = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-            k7y = u * _eval_rhs(fex, fco, fde, x7, y7, t7)
-            k7x = u * _eval_rhs(gex, gco, gde, x7, y7, t7)
+            fy, fx = rhs(x7, y7, t7)
+            k7y = u * fy
+            k7x = u * fx
             erry = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y
                         + _E6 * k6y + _E7 * k7y)
             errx = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x
                         + _E6 * k6x + _E7 * k7x)
-            sy = tol * (1.0 + abs(y))
-            sx = tol * (1.0 + abs(x))
-            err = np.sqrt(0.5 * ((abs(erry) / sy) ** 2 + (abs(errx) / sx) ** 2))
-            bad = (np.isnan(err) or np.isinf(err)
-                   or np.isnan(abs(y7)) or np.isinf(abs(y7))
-                   or np.isnan(abs(x7)) or np.isinf(abs(x7)))
+            try:
+                ey, ex, ay7, ax7 = abs(erry), abs(errx), abs(y7), abs(x7)
+            except OverflowError:
+                ey, ex, ay7, ax7 = map(_cabs, (erry, errx, y7, x7))
+            ry = ey / (tol * (1.0 + ay))
+            rx = ex / (tol * (1.0 + ax))
+            # r ** 2 is pow(r, 2.0), as for numpy scalars; r * r rounds
+            # differently in about one case in a thousand
+            try:
+                err = math.sqrt(0.5 * (ry ** 2 + rx ** 2))
+            except OverflowError:
+                err = math.inf
+            bad = not (math.isfinite(err) and math.isfinite(ay7) and math.isfinite(ax7))
             if not bad and err <= 1.0:
                 sigma += h
                 t = t7
                 y = y7
                 x = x7
+                ay = ay7
+                ax = ax7
                 k1y = k7y
                 k1x = k7x
                 ts.append(t)
@@ -379,7 +525,7 @@ def _dopri5_core(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
                     fac = 5.0
             h = h * fac
             if h < hfloor and sigma < seglen:
-                if abs(y) > blowup or abs(x) > blowup or bad:
+                if ay > blowup or ax > blowup or bad:
                     status = STATUS_POLE
                 else:
                     status = STATUS_ABORTED
@@ -390,13 +536,7 @@ def _dopri5_core(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
 def dopri5_path(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
                 blowup=1e8, hfloor=1e-12, maxsteps=200_000):
     """Integrate along the polyline; returns (t, y, x lists, status, t_est)."""
-    fex = np.asarray(fex, np.int64).reshape(-1, 3)
-    gex = np.asarray(gex, np.int64).reshape(-1, 3)
-    fco = np.asarray(fco, np.complex128)
-    gco = np.asarray(gco, np.complex128)
-    fde = np.asarray(fde, np.complex128)
-    gde = np.asarray(gde, np.complex128)
-    wps = np.asarray(wps, np.complex128)
-    return _dopri5_core(fex, fco, fde, gex, gco, gde, wps,
-                        complex(y0), complex(x0), float(tol),
+    rhs = compile_rhs(fex, fco, fde, gex, gco, gde)
+    wps = np.asarray(wps, np.complex128).tolist()
+    return _dopri5_core(rhs, wps, complex(y0), complex(x0), float(tol),
                         float(blowup), float(hfloor), int(maxsteps))

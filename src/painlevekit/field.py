@@ -32,7 +32,8 @@ Canonicalization skips the work that cannot change this form:
 
 A small recursive-descent parser and a canonical printer round-trip the
 text grammar: rational literals, symbol names, + - * / ^ and parentheses,
-with ^ taking nonnegative integer exponents up to MAX_EXPONENT (100).
+with ^ taking nonnegative integer exponents up to MAX_EXPONENT (100), and
+a power refused when its degree in any one symbol would pass that cap.
 Expressions may also use the reserved phase variables x, y, u1, u2, in
 which case parsing yields a PhasePoly (polynomial in the phase variables
 over K).
@@ -1404,9 +1405,21 @@ def _phase_str(p: PhasePoly) -> str:
 # ---------------------------------------------------------------------------
 # parser
 
-# Largest exponent the parser accepts after ^.  The catalog's forms use at
-# most 4; the cap keeps a typo like x^99999999 from looping for hours.
+# Largest exponent the parser accepts after ^, and largest degree in any
+# one symbol that a power may reach.  The catalog's forms use at most 4;
+# the cap keeps a typo like x^99999999 or ((x+1)^100)^100 from looping
+# for hours.
 MAX_EXPONENT = 100
+
+
+def _max_degree(v: PhaseRational) -> int:
+    """Largest exponent of any one symbol, phase variable or coefficient
+    symbol, in the numerator or denominator of v."""
+    deg = 0
+    for p in (v.num, v.den):
+        for e, c in p.terms.items():
+            deg = max(deg, *e, *(k for q in (c.num, c.den) for ce in q for k in ce))
+    return deg
 
 
 class _Tok:
@@ -1512,7 +1525,12 @@ class _Parser:
             self.take()
             if len(t.text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(t.text) > MAX_EXPONENT:
                 raise ParseError(f"exponent {t.text} is above the cap {MAX_EXPONENT}", t.pos)
-            v = v ** int(t.text)
+            k = int(t.text)
+            deg = _max_degree(v) * k
+            if deg > MAX_EXPONENT:
+                raise ParseError(f"power of degree {deg} is above the cap {MAX_EXPONENT}",
+                                 t.pos)
+            v = v ** k
         return -v if neg else v
 
     def atom(self):

@@ -378,12 +378,11 @@ def integrate(instance, initial, path, tol: float = 1e-9) -> Trajectory:
     ts, ys, xs, status, t_est = _accel.dopri5_path(
         fex, fco, fde, gex, gco, gde, wps, y0, x0, float(tol))
 
-    samples = [(complex(ts[i]), complex(ys[i]), complex(xs[i]))
-               for i in range(len(ts))]
+    samples = list(zip(ts, ys, xs))
     if status == _accel.STATUS_COMPLETED:
         label, est = COMPLETED, None
     elif status == _accel.STATUS_POLE:
-        label, est = POLE_DETECTED, complex(t_est)
+        label, est = POLE_DETECTED, t_est
     else:
         label, est = SINGULARITY_ABORTED, None
     return Trajectory(samples, label, est, float(tol), instance.family, rhs)
@@ -407,7 +406,9 @@ def invariant_drift(traj: Trajectory, P) -> float:
     """max |P(t_i, y_i, x_i)| over the samples of a completed trajectory.
 
     For a trajectory started on the variety P = 0 this measures how far
-    the numerical solution wanders off it.
+    the numerical solution wanders off it.  P is evaluated once over the
+    sample arrays; where a denominator of P vanishes at a sample, or the
+    evaluation overflows, the drift is inf.
     """
     if traj.status != COMPLETED:
         raise ConstraintError(
@@ -425,13 +426,28 @@ def invariant_drift(traj: Trajectory, P) -> float:
         _require_numeric_coeffs(q)
 
     radvals = _radical_values(P.table)
-    named = {P.table.names[i]: v for i, v in radvals.items()}
-    worst = 0.0
-    for t, y, x in traj.samples:
-        assign = dict(named)
-        assign["t"] = t
-        worst = max(worst, abs(P.eval_complex(assign, x, y)))
-    return worst
+    ts, ys, xs = traj.arrays()
+    with np.errstate(all="ignore"):
+        vals = _phase_values(polys[0], radvals, ts, ys, xs)
+        if len(polys) == 2:
+            vals = vals / _phase_values(polys[1], radvals, ts, ys, xs)
+        return float(np.nan_to_num(np.abs(vals), nan=np.inf, posinf=np.inf).max())
+
+
+def _phase_values(q: PhasePoly, radvals, ts, ys, xs) -> np.ndarray:
+    """q at every sample (t_i, y_i, x_i), evaluated over the arrays."""
+    table = q.table
+
+    def at_ts(pdict):
+        v = np.zeros_like(ts)
+        for c in _numeric_tpoly(pdict, table, radvals)[::-1]:
+            v = v * ts + c
+        return v
+
+    out = np.zeros_like(ts)
+    for e, c in q.terms.items():
+        out = out + at_ts(c.num) / at_ts(c.den) * xs ** e[0] * ys ** e[1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The Darboux candidate filter: parity with the plain elimination loop
 kept here as the reference, soundness of the eigenvalue prefilter, stage
-counts and search results."""
+counts and search results.  The integrator's generated right-hand side:
+bit parity with the numpy-scalar loop it replaced, kept here as the
+reference, and numpy's complex division on Python scalars."""
 
 import logging
 import os
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 import sympy
 
-from painlevekit import _accel, catalog
+from painlevekit import _accel, catalog, numint
 from painlevekit.dvariety import SearchBounds, darboux_search
 
 
@@ -225,3 +227,87 @@ def test_search_results_unchanged_at_box_three(family, params, want):
     inst = catalog.instantiate(family, params)
     certs = darboux_search(inst.derivation, SearchBounds(2, 1, 3))
     assert [(str(c.P), str(c.G)) for c in certs] == want
+
+
+# ---------------------------------------------------------------------------
+# generated right-hand side
+
+
+def _rhs_loop(ex, co, de, x, y, t):
+    # the right-hand side as dopri5 once evaluated it, on numpy scalars
+    num = 0j
+    for n in range(ex.shape[0]):
+        term = co[n]
+        for z, k in ((x, ex[n, 0]), (y, ex[n, 1]), (t, ex[n, 2])):
+            p = 1 + 0j
+            for _ in range(k):
+                p *= z
+            term = term * p
+        num += term
+    den = 0j
+    for c in de[::-1]:
+        den = den * t + c
+    return num / den
+
+
+def _bits(z):
+    return np.array([complex(z)]).view(np.uint64).tolist()
+
+
+_SYSTEMS = [("S2", {"alpha": F(1, 3)}), ("P1", {}),
+            ("S4", {"v1": F(1, 3), "v2": F(-2, 5), "v3": F(1, 15)}),
+            ("S3prime", {"v1": F(1, 3), "v2": F(1, 5)}),
+            ("S6", {"a1": F(1, 3), "a2": F(2, 5), "a3": F(3, 7), "a4": F(1, 4)})]
+
+
+def _systems():
+    out = [numint.compile_system(catalog.instantiate(f, p)) for f, p in _SYSTEMS]
+    # two different denominators, one of them 1, and a cube of x
+    fex, fco, fde, gex, gco, gde = out[-1]
+    out.append((np.vstack([fex, [[3, 0, 1]]]), np.append(fco, 0.5 - 2j), fde,
+                gex, gco, np.array([1 + 0j])))
+    return out
+
+
+@pytest.mark.parametrize("system", range(len(_SYSTEMS) + 1))
+def test_generated_rhs_matches_the_numpy_scalar_loop_bit_for_bit(system):
+    fex, fco, fde, gex, gco, gde = _systems()[system]
+    rhs = _accel.compile_rhs(fex, fco, fde, gex, gco, gde)
+    rng = random.Random(system)
+    zeros = (0.0, -0.0)
+    for _ in range(3000):
+        # signed zeros in the state, as on an invariant line, and no t at
+        # a zero of the denominators
+        x, y, t = (complex(rng.choice(zeros), rng.choice(zeros)) if rng.random() < 0.15
+                   else complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3))
+        t += 0.5 + 0.25j
+        f, g = rhs(x, y, t)
+        assert _bits(f) == _bits(_rhs_loop(fex, fco, fde, x, y, t)), (x, y, t)
+        assert _bits(g) == _bits(_rhs_loop(gex, gco, gde, x, y, t)), (x, y, t)
+
+
+_SPECIAL = (0.0, -0.0, 1.0, -2.5, 5e-324, -1e-310, 1e308, -1e308, np.inf, -np.inf, np.nan)
+
+
+def test_complex_division_is_numpys_on_python_scalars():
+    rng = random.Random(3)
+
+    def value():
+        r = rng.random()
+        if r < 0.2:
+            return rng.choice(_SPECIAL)
+        return rng.uniform(-1, 1) * 10.0 ** rng.uniform(-300, 300 if r < 0.5 else 3)
+
+    python_differs = 0
+    with np.errstate(all="ignore"):
+        for _ in range(20000):
+            n, d = complex(value(), value()), complex(value(), value())
+            want = complex(np.complex128(n) / np.complex128(d))
+            got = _accel._cdiv(n, d)
+            for a, b in ((got.real, want.real), (got.imag, want.imag)):
+                # any nan, as numpy's nan signs are not specified
+                assert _bits(a) == _bits(b) or np.isnan(a) and np.isnan(b), (n, d, got, want)
+            if d and np.isfinite(want) and n / d != want:
+                python_differs += 1
+    # the reason _cdiv exists: Python's own complex / rounds otherwise
+    assert python_differs > 1000

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -109,6 +110,25 @@ def test_huge_exponent_is_refused(capsys):
                                  "--param", "alpha=1/2", "--poly", "x^99999999")
     assert code == 1 and out == ""
     assert "ParseError" in err and "99999999" in err
+
+
+def test_nested_power_is_refused_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = _run_strict(capsys, "verify-invariant", "--family", "S2",
+                                 "--param", "alpha=1/2", "--poly", "((x+1)^100)^100")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "ParseError" in err and "degree 10000" in err
+
+
+def test_huge_initial_value_warns_nothing(capsys):
+    # y^2 overflows at the first stage; numpy scalars used to warn here
+    code, out, err = _run_strict(capsys, "integrate", "--family", "S2",
+                                 "--param", "alpha=1/3", "--initial", "1,1e300,0",
+                                 "--path", "1,2", "--json")
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["verdict"] == "PoleDetected"
 
 
 def test_imaginary_unit_i_still_reads(capsys):

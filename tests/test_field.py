@@ -625,6 +625,20 @@ def test_exponent_cap():
         assert "cap" in str(e.value)
 
 
+def test_power_degree_cap():
+    tab = SymbolTable()
+    tab.declare_param("a")
+    top = field.MAX_EXPONENT
+    assert parse(f"(x^2)^{top // 2}", tab) == parse(f"x^{top}", tab)
+    for text, pos in (("((x+1)^100)^100", 12), (f"(x^2)^{top // 2 + 1}", 6),
+                      ("(t*y)^60*(t^2)^51", 15), ("((a+1)^10)^11", 11),
+                      ("(x/(t^3 + 1))^34", 14)):
+        with pytest.raises(ParseError) as e:
+            parse(text, tab, allow_rational=True)
+        assert e.value.position == pos
+        assert "degree" in str(e.value) and "cap" in str(e.value)
+
+
 def test_overlong_integer_literal_is_a_parse_error():
     tab = SymbolTable()
     with pytest.raises(ParseError) as e:

@@ -190,6 +190,16 @@ def test_single_sample_drift_is_initial_value():
     assert invariant_drift(tr, P) == want
 
 
+def test_drift_is_inf_where_a_denominator_vanishes():
+    inst = _s2()
+    tr = integrate(inst, (1, 0.3, 0.2), PathSpec([1, 2]), tol=1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert invariant_drift(tr, parse("x/(t - 1)", inst.table)) == float("inf")
+        P = parse("x/(y - 3/10)", inst.table, allow_rational=True)
+        assert invariant_drift(tr, P) == float("inf")
+
+
 def test_drift_requires_completion():
     p1 = catalog.instantiate("P1", {})
     tr = integrate(p1, (0, 1, 1), PathSpec([0, 5]), tol=1e-9)
