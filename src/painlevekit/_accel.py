@@ -25,8 +25,10 @@ computes each power of x, y and t once, and binds the coefficients by name
 in its namespace; ``exec`` compiles it once per ``dopri5_path`` call.  The
 loop keeps the operation order it had when it ran on numpy scalars, so
 trajectories are bit for bit what they were.  Python's complex ``*`` and
-``+`` round as numpy's scalar ones do, and ``r ** 2`` and ``err ** -0.2``
-call the same libm ``pow``.  Python's complex ``/`` does not: numpy
+``+`` round as numpy's scalar ones do; the tableau and the step enter as
+complex numbers, so that no float meets a complex stage value (numpy
+multiplied those as complex, Python 3.14 multiplies them part by part).
+``r ** 2`` and ``err ** -0.2`` call the same libm ``pow``.  Python's complex ``/`` does not: numpy
 divides by Smith's method scaled by a reciprocal, so the quotient by a
 denominator in t, and the unit direction of each segment, are computed by
 that formula (``_cdiv``).  Where numpy returned inf or nan, Python raises
@@ -258,28 +260,32 @@ def darboux_candidate_flags(A, B, cand, p=MOD_P):
 # parametrized by arclength; within a segment dt/dsigma is the constant
 # unit direction.
 
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
+# complex, as is the step in the loop: a float times a complex stage value
+# would be multiplied part by part from Python 3.14, not as numpy did
+_C2, _C3, _C4, _C5 = map(complex, (1 / 5, 3 / 10, 4 / 5, 8 / 9))
+_A21 = complex(1 / 5)
+_A31, _A32 = map(complex, (3 / 40, 9 / 40))
+_A41, _A42, _A43 = map(complex, (44 / 45, -56 / 15, 32 / 9))
+_A51, _A52, _A53, _A54 = map(complex, (19372 / 6561, -25360 / 2187,
+                                       64448 / 6561, -212 / 729))
+_A61, _A62, _A63, _A64, _A65 = map(complex, (
     9017 / 3168,
     -355 / 33,
     46732 / 5247,
     49 / 176,
     -5103 / 18656,
-)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+))
+_B1, _B3, _B4, _B5, _B6 = map(complex, (35 / 384, 500 / 1113, 125 / 192,
+                                        -2187 / 6784, 11 / 84))
 # fifth-order minus embedded fourth-order weights
-_E1, _E3, _E4, _E5, _E6, _E7 = (
+_E1, _E3, _E4, _E5, _E6, _E7 = map(complex, (
     71 / 57600,
     -71 / 16695,
     71 / 1920,
     -17253 / 339200,
     22 / 525,
     -1 / 40,
-)
+))
 
 STATUS_COMPLETED = 0
 STATUS_POLE = 1
@@ -340,30 +346,6 @@ def _denominator_source(name, de):
     return src
 
 
-# numpy's complex128 quotient of both numerators by one denominator d,
-# with _cdiv taking over where a float division by zero would raise
-_SHARED_QUOTIENT = """\
-    dr = d.real
-    di = d.imag
-    fr = nf.real
-    fi = nf.imag
-    gr = ng.real
-    gi = ng.imag
-    try:
-        if abs(dr) >= abs(di):
-            rat = di / dr
-            scl = 1.0 / (dr + di * rat)
-            return (complex((fr + fi * rat) * scl, (fi - fr * rat) * scl),
-                    complex((gr + gi * rat) * scl, (gi - gr * rat) * scl))
-        rat = dr / di
-        scl = 1.0 / (di + dr * rat)
-        return (complex((fr * rat + fi) * scl, (fi * rat - fr) * scl),
-                complex((gr * rat + gi) * scl, (gi * rat - gr) * scl))
-    except ZeroDivisionError:
-        return _cdiv(nf, d), _cdiv(ng, d)
-"""
-
-
 def compile_rhs(fex, fco, fde, gex, gco, gde):
     """The system as one generated function (x, y, t) -> (y', x') on
     Python complex scalars.
@@ -376,9 +358,10 @@ def compile_rhs(fex, fco, fde, gex, gco, gde):
     Coefficients are names bound in the function's namespace, never text
     in its source.  A denominator that is the constant 1 is not divided
     by: a numerator summed from 0j has no -0 part, so numpy's division by
-    1 would return it unchanged.  Otherwise both components share one
-    evaluation of D and one quotient by numpy's complex128 formula
-    (``_cdiv``), which Python's own complex ``/`` does not reproduce.
+    1 would return it unchanged.  Any other D is evaluated once, also when
+    both components share it, and each numerator is divided by it with
+    numpy's complex128 formula (``_cdiv``), which Python's own complex
+    ``/`` does not reproduce.
     """
     ns = {"_cdiv": _cdiv}
     powers = {"x": 0, "y": 0, "t": 0}
@@ -388,11 +371,6 @@ def compile_rhs(fex, fco, fde, gex, gco, gde):
         for n, c in enumerate(np.asarray(co, np.complex128).tolist()):
             ns[f"{name}{n}"] = c
         nums.append(_numerator_source(name, ex, powers))
-    fdl, gdl = (np.asarray(de, np.complex128).tolist() for de in (fde, gde))
-    for name, de in (("fd", fdl), ("gd", gdl)):
-        for i, c in enumerate(de):
-            ns[f"{name}{i}"] = c
-
     lines = ["def rhs(x, y, t):"]
     for var, top in powers.items():
         for e in range(2, top + 1):
@@ -400,14 +378,20 @@ def compile_rhs(fex, fco, fde, gex, gco, gde):
             lines.append(f"    {var}{e} = {prev} * {var}")
     lines.append(f"    nf = {nums[0]}")
     lines.append(f"    ng = {nums[1]}")
-    if fdl == gdl and fdl != [1]:
-        lines.append(f"    d = {_denominator_source('fd', fdl)}")
-        lines.append(_SHARED_QUOTIENT.rstrip("\n"))
-    else:
-        # a denominator of 1, or two different denominators
-        f = "nf" if fdl == [1] else f"_cdiv(nf, {_denominator_source('fd', fdl)})"
-        g = "ng" if gdl == [1] else f"_cdiv(ng, {_denominator_source('gd', gdl)})"
-        lines.append(f"    return {f}, {g}")
+    fdl, gdl = (np.asarray(de, np.complex128).tolist() for de in (fde, gde))
+    out = []
+    for num, name, de in (("nf", "fd", fdl), ("ng", "gd", gdl)):
+        if de == [1]:
+            out.append(num)
+            continue
+        if name == "gd" and de == fdl:
+            name = "fd"   # the shared denominator, already evaluated
+        else:
+            for i, c in enumerate(de):
+                ns[f"{name}{i}"] = c
+            lines.append(f"    {name} = {_denominator_source(name, de)}")
+        out.append(f"_cdiv({num}, {name})")
+    lines.append(f"    return {out[0]}, {out[1]}")
     src = "\n".join(lines) + "\n"
     exec(compile(src, "<painlevekit rhs>", "exec"), ns)
     return ns["rhs"]
@@ -446,47 +430,48 @@ def _dopri5_core(rhs, wps, y0, x0, tol, blowup, hfloor, maxsteps):
             steps += 1
             if h > seglen - sigma:
                 h = seglen - sigma
-            t2 = t + _C2 * h * u
-            y2 = y + h * (_A21 * k1y)
-            x2 = x + h * (_A21 * k1x)
+            hc = complex(h)
+            t2 = t + _C2 * hc * u
+            y2 = y + hc * (_A21 * k1y)
+            x2 = x + hc * (_A21 * k1x)
             fy, fx = rhs(x2, y2, t2)
             k2y = u * fy
             k2x = u * fx
-            t3 = t + _C3 * h * u
-            y3 = y + h * (_A31 * k1y + _A32 * k2y)
-            x3 = x + h * (_A31 * k1x + _A32 * k2x)
+            t3 = t + _C3 * hc * u
+            y3 = y + hc * (_A31 * k1y + _A32 * k2y)
+            x3 = x + hc * (_A31 * k1x + _A32 * k2x)
             fy, fx = rhs(x3, y3, t3)
             k3y = u * fy
             k3x = u * fx
-            t4 = t + _C4 * h * u
-            y4 = y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
-            x4 = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
+            t4 = t + _C4 * hc * u
+            y4 = y + hc * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
+            x4 = x + hc * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
             fy, fx = rhs(x4, y4, t4)
             k4y = u * fy
             k4x = u * fx
-            t5 = t + _C5 * h * u
-            y5 = y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
-            x5 = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
+            t5 = t + _C5 * hc * u
+            y5 = y + hc * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
+            x5 = x + hc * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
             fy, fx = rhs(x5, y5, t5)
             k5y = u * fy
             k5x = u * fx
-            t6 = t + h * u
-            y6 = y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y
+            t6 = t + hc * u
+            y6 = y + hc * (_A61 * k1y + _A62 * k2y + _A63 * k3y
                           + _A64 * k4y + _A65 * k5y)
-            x6 = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x
+            x6 = x + hc * (_A61 * k1x + _A62 * k2x + _A63 * k3x
                           + _A64 * k4x + _A65 * k5x)
             fy, fx = rhs(x6, y6, t6)
             k6y = u * fy
             k6x = u * fx
-            t7 = t + h * u
-            y7 = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
-            x7 = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
+            t7 = t + hc * u
+            y7 = y + hc * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
+            x7 = x + hc * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
             fy, fx = rhs(x7, y7, t7)
             k7y = u * fy
             k7x = u * fx
-            erry = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y
+            erry = hc * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y
                         + _E6 * k6y + _E7 * k7y)
-            errx = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x
+            errx = hc * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x
                         + _E6 * k6x + _E7 * k7x)
             try:
                 ey, ex, ay7, ax7 = abs(erry), abs(errx), abs(y7), abs(x7)

@@ -1184,9 +1184,13 @@ class PhaseRational:
     def __pow__(self, k: int):
         if k < 0:
             return PhaseRational.const(self.table, 1) / self ** (-k)
+        # square and multiply from the top bit of k: for k up to 3 these are
+        # the products of repeated multiplication, in the same order
         out = PhaseRational.const(self.table, 1)
-        for _ in range(k):
-            out = out * self
+        for bit in bin(k)[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __eq__(self, other):

@@ -639,6 +639,20 @@ def test_power_degree_cap():
         assert "degree" in str(e.value) and "cap" in str(e.value)
 
 
+def test_phase_rational_power_matches_repeated_products():
+    tab = SymbolTable()
+    v = PhaseRational.from_poly(parse("x*y + 2*y - 3/2", tab))
+    prod = PhaseRational.const(tab, 1)
+    for k in range(8):
+        p = v ** k
+        assert p == prod
+        if k <= 3:
+            # same products as repeated multiplication, so the same term
+            # order, which numeric evaluation sums in
+            assert list(p.num.terms) == list(prod.num.terms)
+        prod = prod * v
+
+
 def test_overlong_integer_literal_is_a_parse_error():
     tab = SymbolTable()
     with pytest.raises(ParseError) as e:
