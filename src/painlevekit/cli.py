@@ -7,6 +7,14 @@ extras).  Exit codes: 0 success, 1 domain error, 2 usage error.
 
 Parameters are exact rationals (`--param alpha=3/2`); the prefix
 `sym:` declares a transcendental instead (`--param alpha=sym:a`).
+
+Each run is a fresh process, so imports are part of every command's wall
+time.  numpy is loaded only by the subcommands that compute numerically:
+darboux (through dvariety.darboux_search) and integrate, drift and probe
+(through numint, imported inside the handlers).  The exact subcommands
+never load numpy, painlevekit._accel or painlevekit.numint.  numint is
+used through the module, never through bound names, so that wrapping its
+attributes reaches every call.
 """
 
 import argparse
@@ -14,7 +22,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import catalog, dvariety, numint, transforms
+from . import catalog, dvariety, transforms
 from .catalog import FAMILIES
 from .dvariety import SearchBounds
 from .errors import ConstraintError, DomainError
@@ -274,6 +282,9 @@ def _cmd_instantiate(ns):
 
 def _cleared_derivation(inst):
     """Polynomial-in-t derivation plus the rescale warning if any."""
+    if inst.derivation is None:
+        raise ConstraintError(
+            f"{inst.family} carries no first-order system to search")
     cleared, mult = dvariety.clear_denominators(inst.derivation)
     warnings = []
     if mult != inst.table.one():
@@ -444,6 +455,8 @@ def _cmd_hamiltonian_check(ns):
 
 
 def _run_trajectory(ns):
+    from . import numint
+
     table, params = _checked_params(ns.family, ns.param)
     inst = catalog.instantiate(ns.family, params, table=table)
     initial = _parse_initial(ns.initial)
@@ -462,13 +475,19 @@ def _cmd_integrate(ns):
     if traj.t_est is not None:
         lines.append(f"pole estimate: t = {traj.t_est}")
     if ns.csv:
-        traj.write_csv(ns.csv)
+        try:
+            traj.write_csv(ns.csv)
+        except OSError as exc:
+            raise _UsageError(
+                f"cannot write --csv {ns.csv!r}: {exc.strerror}") from None
         lines.append(f"wrote {ns.csv}")
     return _report("integrate", traj.status, lines=lines,
                    csv=ns.csv, **_traj_extra(traj))
 
 
 def _cmd_drift(ns):
+    from . import numint
+
     inst, traj = _run_trajectory(ns)
     P = parse(ns.poly, inst.table, allow_rational=True)
     d = numint.invariant_drift(traj, P)
@@ -485,6 +504,8 @@ def _fmt_coeff(z: complex) -> str:
 
 
 def _cmd_probe(ns):
+    from . import numint
+
     inst, traj = _run_trajectory(ns)
     basis = _parse_basis(ns.basis) if ns.basis else None
     res = numint.relation_probe(traj, degree=ns.degree,

@@ -14,17 +14,22 @@ the phase variables.  This module provides:
 
 The search is complete only relative to its bounds: an empty result means
 "no invariant found within bounds", never a nonexistence proof.
+
+Only darboux_search computes numerically, so only it imports numpy and
+_accel, inside the function: the exact commands of the CLI and the
+catalog, which needs DVectorField, never pay for loading numpy.  It calls
+_accel.darboux_candidate_flags through the module, not through a bound
+name, so that the attribute stays the one place to wrap the filter (the
+per-layer tracer of perfbench/ does).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-import numpy as np
-
-from . import _accel
 from .errors import (
     ConstraintError,
     NonNumericError,
@@ -233,32 +238,33 @@ def _require_rational_in_t(D: DVectorField):
 
 
 def _poly_monomials(deg_xy: int, deg_t: int):
-    out = []
-    for i in range(deg_xy + 1):
-        for j in range(deg_xy + 1 - i):
-            for k in range(deg_t + 1):
-                out.append((i, j, k))
-    out.sort()
-    return out
+    return ((i, j, k)
+            for i in range(deg_xy + 1)
+            for j in range(deg_xy + 1 - i)
+            for k in range(deg_t + 1))
 
 
 def _cofactor_monomials(D: DVectorField, bounds: SearchBounds):
     if bounds.cofactor_deg is not None:
         d = bounds.cofactor_deg
-        out = [(i, j, k)
-               for i in range(d + 1)
-               for j in range(d + 1 - i)
-               for k in range(d + 1 - i - j)]
-    else:
-        gxy = max(D.f.deg_xy(), D.g.deg_xy()) - 1
-        if gxy < 0:
-            gxy = 0
-        gt = max(comp.deg_t() for comp in D.components())
-        out = [(i, j, k)
-               for i in range(gxy + 1)
-               for j in range(gxy + 1 - i)
-               for k in range(gt + 1)]
-    out.sort()
+        return ((i, j, k)
+                for i in range(d + 1)
+                for j in range(d + 1 - i)
+                for k in range(d + 1 - i - j))
+    gxy = max(D.f.deg_xy(), D.g.deg_xy()) - 1
+    gt = max(comp.deg_t() for comp in D.components())
+    return _poly_monomials(max(gxy, 0), gt)
+
+
+def _within_cap(monos, max_matrix: int) -> list:
+    """The monomials, sorted.  Each is a row or a column of the system, so
+    more than max_matrix of them pass the matrix cap whatever the other
+    dimension; the count stops there, so no bound builds a longer list."""
+    out = sorted(itertools.islice(monos, max_matrix + 1))
+    if len(out) > max_matrix:
+        raise SearchCapExceededError(
+            f"more than {max_matrix} monomials within the bounds exceed "
+            "the matrix cap")
     return out
 
 
@@ -339,16 +345,26 @@ def _fraction_kernel(rows: list, ncols: int) -> list:
     return basis
 
 
-def _build_system(D: DVectorField, bounds: SearchBounds, gmonos: list):
+def _build_system(D: DVectorField, bounds: SearchBounds, gmonos: list,
+                  max_matrix: int):
     """Exact matrices for D(P) - G*P = 0 over the monomial bases.
 
     G runs over the span of the cofactor monomials gmonos; with none, the
-    system is D(P) = 0.  Returns (cols, A, Bmats, rows) where A maps
-    P-coefficients to D(P)-coefficients and Bmats[m] maps them to
-    (gmonos[m] * P)-coefficients.
+    system is D(P) = 0.  Returns (cols, A, Bidx) where A maps
+    P-coefficients to D(P)-coefficients and Bidx[m] gives, for each column
+    c, the one row whose (gmonos[m] * P)-coefficient is P's coefficient c.
+    SearchCapExceededError when the matrix would have more than max_matrix
+    entries; where the monomial counts alone show that, before building it.
     """
     table = D.table
-    cols = _poly_monomials(bounds.deg_xy, bounds.deg_t)
+    cols = _within_cap(_poly_monomials(bounds.deg_xy, bounds.deg_t), max_matrix)
+    C = len(cols)
+    # the rows take in gmonos (times P's constant) and, since G runs over
+    # the constants too, a row for each of P's monomials
+    R = max(len(gmonos), C if gmonos else 1)
+    if R * C > max_matrix:
+        raise SearchCapExceededError(
+            f"system matrix of at least {R}x{C} exceeds the cap {max_matrix}")
     acols = []
     row_keys = set()
     for (i, j, k) in cols:
@@ -359,26 +375,18 @@ def _build_system(D: DVectorField, bounds: SearchBounds, gmonos: list):
         for (gi, gj, gk) in gmonos:
             row_keys.add((i + gi, j + gj, k + gk))
     rows = sorted(row_keys)
+    R = len(rows)
+    if R * C > max_matrix:
+        raise SearchCapExceededError(
+            f"system matrix {R}x{C} exceeds the cap {max_matrix}")
     ridx = {key: n for n, key in enumerate(rows)}
-    R, C = len(rows), len(cols)
     A = [[Fraction(0)] * C for _ in range(R)]
     for c, rowdict in enumerate(acols):
         for key, val in rowdict.items():
             A[ridx[key]][c] = val
-    Bmats = []
-    for (gi, gj, gk) in gmonos:
-        B = np.zeros((R, C), np.int64)
-        for c, (i, j, k) in enumerate(cols):
-            B[ridx[(i + gi, j + gj, k + gk)], c] = 1
-        Bmats.append(B)
-    return cols, A, Bmats, rows
-
-
-def _check_matrix_cap(rows: list, cols: list, max_matrix: int):
-    R, C = len(rows), len(cols)
-    if R * C > max_matrix:
-        raise SearchCapExceededError(
-            f"system matrix {R}x{C} exceeds the cap {max_matrix}")
+    Bidx = [[ridx[(i + gi, j + gj, k + gk)] for (i, j, k) in cols]
+            for (gi, gj, gk) in gmonos]
+    return cols, A, Bidx
 
 
 def _kernel_polys(table: SymbolTable, cols: list, M: list):
@@ -415,12 +423,15 @@ def darboux_search(D: DVectorField, bounds: SearchBounds,
     is provably of full rank.  Results are normalized (P monic in grlex),
     deduplicated, and sorted.
     """
+    import numpy as np
+
+    from . import _accel
+
     _require_rational_in_t(D)
     table = D.table
-    gmonos = _cofactor_monomials(D, bounds)
-    cols, A, Bmats, rows = _build_system(D, bounds, gmonos)
-    _check_matrix_cap(rows, cols, max_matrix)
-    R, C = len(rows), len(cols)
+    gmonos = _within_cap(_cofactor_monomials(D, bounds), max_matrix)
+    cols, A, Bidx = _build_system(D, bounds, gmonos, max_matrix)
+    R, C = len(A), len(cols)
     m = len(gmonos)
     width = 2 * bounds.cofactor_box + 1
     n_candidates = width ** m
@@ -437,8 +448,9 @@ def darboux_search(D: DVectorField, bounds: SearchBounds,
                 denlcm = lcm(denlcm, v.denominator)
     A_mod = np.array([[int(v * denlcm) % _accel.MOD_P for v in row] for row in A],
                      np.int64)
-    B_mod = np.stack([(B * denlcm) % _accel.MOD_P for B in Bmats]) if m else \
-        np.zeros((0, R, C), np.int64)
+    B_mod = np.zeros((m, R, C), np.int64)
+    for mi, ridx in enumerate(Bidx):
+        B_mod[mi, ridx, np.arange(C)] = denlcm % _accel.MOD_P
 
     if m == 0:
         cand = np.zeros((1, 0), np.int64)
@@ -451,11 +463,9 @@ def darboux_search(D: DVectorField, bounds: SearchBounds,
     for idx in np.nonzero(flags)[0]:
         gvec = cand[idx]
         M = [list(Arow) for Arow in A]
-        for mi, coef in enumerate(gvec):
+        for coef, ridx in zip(gvec, Bidx):
             if coef:
-                B = Bmats[mi]
-                nz = np.nonzero(B)
-                for r, c in zip(*nz):
+                for c, r in enumerate(ridx):
                     M[r][c] -= Fraction(int(coef))
         for P in _kernel_polys(table, cols, M):
             key = str(P)
@@ -471,8 +481,7 @@ def first_integral_search(D: DVectorField, bounds: SearchBounds,
                           max_matrix: int = 40_000) -> list:
     """Polynomials P within bounds with D(P) = 0, constants excluded."""
     _require_rational_in_t(D)
-    cols, A, _, rows = _build_system(D, bounds, [])
-    _check_matrix_cap(rows, cols, max_matrix)
+    cols, A, _ = _build_system(D, bounds, [], max_matrix)
     out = {str(P): P for P in _kernel_polys(D.table, cols, A)}
     results = [out[k] for k in sorted(out)]
     for P in results:

@@ -344,7 +344,9 @@ def _check_path(family: str, path: PathSpec) -> None:
                     f"t = {_cstr(s)} of {family}")
         for a, b in path.segments():
             d = b - a
-            u = ((s - a) * d.conjugate()).real / abs(d) ** 2
+            # Re((s - a) / d) is the projection; the squared length of d
+            # would overflow past 1e154
+            u = ((s - a) / d).real
             u = min(1.0, max(0.0, u))
             if abs(a + u * d - s) <= _SING_GUARD:
                 raise PathError(
@@ -502,8 +504,9 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
     trajs = list(trajectories)
     if not trajs:
         raise ConstraintError("relation probe needs at least one trajectory")
-    if not threshold > 0:
-        raise ConstraintError("threshold must be positive")
+    if not (threshold > 0 and math.isfinite(threshold)):
+        raise ConstraintError(
+            f"threshold {threshold!r} is not a positive finite number")
 
     nvars = 1 + 2 * len(trajs)
     if basis is None:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -105,6 +106,26 @@ def test_infinite_waypoint_message_quotes_the_input(capsys):
     assert "PathError" in err and "'inf'" in err and "jnf" not in err
 
 
+_S2_PROBE = ("probe", "--family", "S2", "--param", "alpha=1/3",
+             "--initial", "1,0.1,0.2", "--path", "1,3+2i,6")
+
+
+def test_infinite_threshold_is_rejected(capsys):
+    code, out, err = _run_strict(capsys, *_S2_PROBE, "--threshold", "inf",
+                                 "--json")
+    assert code == 1 and err == ""
+    rep = json.loads(out)
+    assert rep["verdict"] == "Error"
+    assert "ConstraintError" in rep["warnings"][0]
+    assert "threshold inf" in rep["warnings"][0]
+
+
+def test_nan_threshold_message_quotes_the_input(capsys):
+    code, out, err = _run_strict(capsys, *_S2_PROBE, "--threshold", "nan")
+    assert code == 1 and out == ""
+    assert "ConstraintError" in err and "threshold nan" in err
+
+
 def test_huge_exponent_is_refused(capsys):
     code, out, err = _run_strict(capsys, "verify-invariant", "--family", "S2",
                                  "--param", "alpha=1/2", "--poly", "x^99999999")
@@ -119,6 +140,37 @@ def test_nested_power_is_refused_quickly(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert "ParseError" in err and "degree 10000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("darboux", "--deg-xy", "99999999999999999999", "--deg-t", "1"),
+    ("darboux", "--deg-xy", "1", "--deg-t", "1", "--cofactor-deg", "10000"),
+    ("first-integrals", "--deg-xy", "1", "--deg-t", "99999999999999999999"),
+])
+def test_huge_search_bounds_are_refused_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = _run_strict(capsys, argv[0], "--family", "S2",
+                                 "--param", "alpha=1/2", *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "SearchCapExceededError" in err
+
+
+def test_far_waypoints_around_a_fixed_singularity(capsys):
+    # the segment's squared length, 4e600, overflowed a float
+    code, out, err = _run_strict(capsys, "integrate", "--family", "S3prime",
+                                 "--param", "v1=1/3", "--param", "v2=1/5",
+                                 "--initial=-1e300,0.3,0", "--path=-1e300,1e300")
+    assert code == 1 and out == ""
+    assert "PathError" in err and "fixed singularity t = 0" in err
+
+
+def test_unwritable_csv_is_usage_error(tmp_path, capsys):
+    dest = tmp_path / "missing" / "out.csv"
+    code, out, err = _run_strict(capsys, *_S2_INTEGRATE, "--initial", "1,0.3,0",
+                                 "--path", "1,1.5", "--csv", str(dest))
+    assert code == 2 and out == ""
+    assert f"cannot write --csv {str(dest)!r}" in err
 
 
 def test_huge_initial_value_warns_nothing(capsys):
@@ -139,6 +191,18 @@ def test_imaginary_unit_i_still_reads(capsys):
 
 
 # -- domain errors ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("darboux", "--deg-xy", "1", "--deg-t", "1", "--cofactor-box", "1"),
+    ("verify-invariant", "--poly", "x"),
+    ("first-integrals", "--deg-xy", "1", "--deg-t", "1"),
+])
+def test_search_without_a_first_order_system_is_domain_error(capsys, argv):
+    code, out, err = _run(capsys, argv[0], "--family", "P2",
+                          "--param", "alpha=1/2", *argv[1:])
+    assert code == 1 and out == ""
+    assert "ConstraintError: P2 carries no first-order system" in err
 
 
 def test_symbolic_search_is_domain_error(capsys):
@@ -454,3 +518,65 @@ def test_module_entry_point():
     assert r.returncode == 0
     rep = json.loads(r.stdout)
     assert rep["verdict"] == "StronglyMinimal"
+
+
+_NUMERIC_MODULES = ("numpy", "painlevekit._accel", "painlevekit.numint")
+
+# each argv runs through cli.main in one process, in order; the process
+# prints which of _NUMERIC_MODULES are loaded after the import and after
+# each command
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+mods = json.loads(sys.argv[1])
+def loaded():
+    return [m for m in mods if m in sys.modules]
+import painlevekit.cli as cli
+print(json.dumps(loaded()))
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(json.dumps([code, loaded()]))
+"""
+
+_EXACT_COMMANDS = [
+    ["classify", "--family", "P2", "--param", "alpha=3/2"],
+    ["instantiate", "--family", "P3prime", "--param", "alpha=1",
+     "--param", "beta=2", "--param", "gamma=sym:g", "--param", "delta=-4"],
+    ["verify-invariant", "--family", "S2", "--param", "alpha=1/2",
+     "--poly", "x - 2*y^2 - t"],
+    ["first-integrals", "--family", "S4", "--param", "v1=0", "--param", "v2=1",
+     "--param", "v3=-1", "--deg-xy", "1", "--deg-t", "1"],
+    ["tangent-lift", "--poly", "x*y + 1"],
+    ["transform-check", "--map", "p2-to-s2", "--param", "alpha=sym:alpha"],
+    ["hamiltonian-check", "--family", "S3prime", "--param", "v1=1/3",
+     "--param", "v2=1/5"],
+]
+
+_NUMERIC_COMMANDS = [
+    ["darboux", "--family", "S2", "--param", "alpha=1/2", "--deg-xy", "1",
+     "--deg-t", "1", "--cofactor-box", "1", "--cofactor-deg", "1"],
+    ["integrate", "--family", "S2", "--param", "alpha=-1/2",
+     "--initial", "1,0.3,0", "--path", "1,1.5"],
+]
+
+
+def _loaded_after(commands):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, json.dumps(_NUMERIC_MODULES),
+         json.dumps(commands)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    # every subprocess of an exact command would otherwise pay for
+    # importing numpy, which is most of its wall time
+    after_import, *after_commands = _loaded_after(_EXACT_COMMANDS)
+    assert after_import == []
+    assert after_commands == [[0, []]] * len(_EXACT_COMMANDS)
+    for argv in _NUMERIC_COMMANDS:
+        after_import, after_command = _loaded_after([argv])
+        assert after_import == []
+        assert after_command[0] == 0 and "numpy" in after_command[1]
