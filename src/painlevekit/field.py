@@ -28,7 +28,14 @@ Canonicalization skips the work that cannot change this form:
   For a quotient the divisor is inverted first, scaled so that its new
   denominator is monic.  Operands with radicals take the full path: their
   product may hold s^2, and rewriting it through s^2 = r and clearing s
-  from the denominator change both sides after any cross-cancellation.
+  from the denominator change both sides after any cross-cancellation;
+* coprime by a mod-p image: an unmetered gcd, and the cosmetic cancellation
+  of PhaseRational, first map both operands to F_p[v], p = 2^31 - 1, for
+  each symbol v both use, the other symbols at fixed values, and take the
+  gcd to be 1 when every image gcd has degree 0.  A common factor uses
+  some such v, and where the image of an operand's leading coefficient in
+  v is nonzero, the factor's image keeps its degree in v and divides both
+  images (Gauss's lemma over Z_(p); Brown, J. ACM 1971).
 
 A small recursive-descent parser and a canonical printer round-trip the
 text grammar: rational literals, symbol names, + - * / ^ and parentheses,
@@ -267,12 +274,84 @@ def _content_in(a: dict, v: int, n: int, budget=None) -> dict:
     return g
 
 
+_COPRIME_P = 2**31 - 1
+
+
+def _coprime_point(i: int) -> int:
+    # the fixed value of symbol i in _coprime_mod_p (a Park-Miller term)
+    return pow(16807, i + 1, _COPRIME_P)
+
+
+def _mod_p_gcd_degree(f: list, g: list, p: int) -> int:
+    """Degree of gcd(f, g) in F_p[v]; f, g dense from degree 0, no zero top."""
+    while g:
+        inv = pow(g[-1], -1, p)
+        dg = len(g) - 1
+        f = list(f)
+        while len(f) > dg:
+            q = f[-1] * inv % p
+            off = len(f) - 1 - dg
+            for j in range(dg):
+                f[off + j] = (f[off + j] - q * g[j]) % p
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _coprime_mod_p(a: dict, b: dict) -> bool:
+    """True proves gcd(a, b) = 1 in Q[symbols]; False means only "not shown".
+
+    For each symbol v that both use, every other symbol i is set to
+    _coprime_point(i) and Euclid runs on the images in F_p[v], p = 2^31 - 1.
+    A common factor h uses some such v, and when the image of lc_v(a) or of
+    lc_v(b) is nonzero, the image of h keeps its degree in v and divides
+    both images (Gauss's lemma over Z_(p); Brown, J. ACM 1971).  So image
+    gcds of degree 0 for every such v leave h no variable.
+    """
+    p = _COPRIME_P
+    images = []
+    for poly in (a, b):
+        terms = []
+        for e, c in poly.items():
+            den = c.denominator % p
+            if not den:
+                return False
+            num = c.numerator % p
+            terms.append((e, num if den == 1 else num * pow(den, -1, p) % p))
+        images.append(terms)
+    shared = _vars_used(a) & _vars_used(b)
+    for v in shared:
+        dense = []
+        for terms in images:
+            out = [0] * (1 + max(_exp_get(e, v) for e, _ in terms))
+            for e, c in terms:
+                val = c
+                for i, k in enumerate(e):
+                    if k and i != v:
+                        val = val * pow(_coprime_point(i), k, p) % p
+                out[_exp_get(e, v)] += val
+            dense.append([c % p for c in out])
+        f, g = dense
+        if not (f[-1] or g[-1]):
+            return False
+        while f and not f[-1]:
+            f.pop()
+        while g and not g[-1]:
+            g.pop()
+        if _mod_p_gcd_degree(f, g, p) != 0:
+            return False
+    return True
+
+
 def _pgcd(a: dict, b: dict, n: int, budget=None) -> dict:
     """Monic gcd in Q[symbols] via the primitive PRS.
 
     With a budget ([units left]) the work is metered and
     _CancelBudgetExceeded is raised once it runs out; without one the gcd
-    runs to the end, as canonicalization needs.
+    runs to the end, as canonicalization needs, after a mod-p image check
+    that returns 1 at once for operands it proves coprime.
     """
     if not a:
         return _pmonic(b, n)
@@ -280,6 +359,8 @@ def _pgcd(a: dict, b: dict, n: int, budget=None) -> dict:
         return _pmonic(a, n)
     used = _vars_used(a) | _vars_used(b)
     if not used:
+        return _pconst(1)
+    if budget is None and _coprime_mod_p(a, b):
         return _pconst(1)
     _spend(budget, len(a) + len(b))
     v = max(used)
@@ -1237,7 +1318,8 @@ def _phase_cancel(num: PhasePoly, den: PhasePoly):
     Coefficient denominators are cleared first; radicals are treated as
     free variables, which can only miss cancellations, never create wrong
     ones.  The cancellation is cosmetic, so its gcd is metered: past
-    _CANCEL_CAP units of work the quotient is kept as built.
+    _CANCEL_CAP units of work the quotient is kept as built, as it is at
+    once when _coprime_mod_p proves the two sides coprime.
     """
     table = num.table
     n = len(table)
@@ -1260,6 +1342,8 @@ def _phase_cancel(num: PhasePoly, den: PhasePoly):
     fn, mn = flatten(num)
     fd, md = flatten(den)
     total = n + 4
+    if _coprime_mod_p(fn, fd):
+        return num, den
     try:
         g = _pgcd(fn, fd, total, [_CANCEL_CAP])
     except _CancelBudgetExceeded:

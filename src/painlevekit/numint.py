@@ -10,6 +10,7 @@ certificates in dvariety.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -457,20 +458,15 @@ def _phase_values(q: PhasePoly, radvals, ts, ys, xs) -> np.ndarray:
 
 
 def _default_basis(nvars: int, degree: int) -> list:
-    if degree < 1:
-        raise ConstraintError("probe degree must be at least 1")
-    out = [()]
-    for _ in range(degree):
-        nxt = []
-        for e in out:
-            ee = e + (0,) * (nvars - len(e))
-            for i in range(nvars):
-                cand = list(ee)
-                cand[i] += 1
-                nxt.append(tuple(cand))
-        out.extend(nxt)
-    full = {tuple(e) + (0,) * (nvars - len(e)) for e in out}
-    return sorted(full, key=lambda e: (sum(e), e))
+    """Every exponent vector of total degree <= degree, by degree then lex."""
+    out = []
+    for d in range(degree + 1):
+        for picks in itertools.combinations_with_replacement(range(nvars), d):
+            e = [0] * nvars
+            for i in picks:
+                e[i] += 1
+            out.append(tuple(e))
+    return sorted(out, key=lambda e: (sum(e), e))
 
 
 def _resample(trajs, m: int):
@@ -510,7 +506,9 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
 
     nvars = 1 + 2 * len(trajs)
     if basis is None:
-        basis = _default_basis(nvars, degree)
+        if degree < 1:
+            raise ConstraintError("probe degree must be at least 1")
+        ncols = math.comb(nvars + degree, degree)
     else:
         basis = [tuple(int(k) for k in e) for e in basis]
         for e in basis:
@@ -520,18 +518,19 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
                     "(t, then y and y' per trajectory)")
         if not basis:
             raise ConstraintError("basis must not be empty")
+        ncols = len(basis)
 
-    for tr in trajs:
-        if len(set(tr.samples)) == 1:
-            return RelationProbeResult(basis, None, None, DEGENERATE,
-                                       threshold, len(trajs))
-
-    if len(trajs) == 1:
-        parts = [trajs[0].arrays()]
-        m = len(trajs[0])
-    else:
-        m = min(len(tr) for tr in trajs)
-        parts = _resample(trajs, m)
+    degenerate = any(len(set(tr.samples)) == 1 for tr in trajs)
+    m = min(len(tr) for tr in trajs)
+    if not degenerate and m < 2 * ncols:
+        raise InsufficientSamplesError(
+            f"{m} samples for {ncols} basis monomials; need at least {2 * ncols}")
+    if basis is None:
+        basis = _default_basis(nvars, degree)
+    if degenerate:
+        return RelationProbeResult(basis, None, None, DEGENERATE,
+                                   threshold, len(trajs))
+    parts = [trajs[0].arrays()] if len(trajs) == 1 else _resample(trajs, m)
 
     # variable columns built on demand, so bases avoiding y' work on
     # trajectories that never carried a compiled right-hand side
@@ -547,11 +546,6 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
                 cache[v] = ys if comp == 0 else trajs[i].y_prime(ts, ys, xs)
         return cache[v]
 
-    ncols = len(basis)
-    if m < 2 * ncols:
-        raise InsufficientSamplesError(
-            f"{m} samples for {ncols} basis monomials; need at least {2 * ncols}")
-
     A = np.zeros((m, ncols), dtype=np.complex128)
     for j, e in enumerate(basis):
         col = np.ones(m, dtype=np.complex128)
@@ -560,7 +554,10 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
                 col = col * var(v) ** k
         A[:, j] = col
     norms = np.linalg.norm(A, axis=0)
-    norms[norms == 0.0] = 1.0
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        label = _monomial_label(basis[zero[0]], len(trajs))
+        raise ConstraintError(f"basis monomial {label!r} is zero on every sample")
     sing = np.linalg.svd(A / norms, compute_uv=False)
     sigma_min = float(sing[-1])
 

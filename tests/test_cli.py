@@ -430,6 +430,19 @@ def test_transform_check_identity_needs_family(capsys):
     assert "--family" in err
 
 
+def test_identity_map_on_p6_is_quick(capsys):
+    # every cancellation of P6 against itself is of a coprime quotient,
+    # which once ran out its gcd budget, about a minute in all
+    start = time.perf_counter()
+    code, out, err = _run_strict(capsys, "transform-check", "--map", "identity",
+                                 "--family", "P6", "--param", "alpha=1/2",
+                                 "--param", "beta=2/5", "--param", "gamma=-3",
+                                 "--param", "delta=1/3", "--json")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and err == ""
+    assert json.loads(out)["verdict"] == "Match"
+
+
 def test_hamiltonian_check_first_family_residual(capsys):
     code, rep, _ = _run_json(capsys, "hamiltonian-check", "--family", "P1")
     assert code == 0
@@ -497,6 +510,23 @@ def test_probe_no_relation(capsys):
     assert code == 0
     assert rep["verdict"] == "NoRelationFound"
     assert rep["coefficients"] is None
+
+
+def test_basis_monomial_zero_on_every_sample_is_refused(capsys):
+    # y^2000 underflows to 0 at every sample: its column says nothing
+    code, out, err = _run_strict(capsys, "probe", "--family", "S2",
+                                 "--param", "alpha=-1/2", "--initial", "1,0.3,0",
+                                 "--path", "1,2", "--basis", "1,y^2000")
+    assert code == 1 and out == ""
+    assert "ConstraintError" in err and "'y^2000'" in err
+
+
+def test_huge_probe_degree_ends_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = _run_strict(capsys, *_S2_PROBE, "--degree", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "InsufficientSamplesError" in err and "12341 basis monomials" in err
 
 
 def test_bad_basis_is_usage_error(capsys):

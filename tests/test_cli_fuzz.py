@@ -8,11 +8,10 @@ no warning (warnings are raised as errors here, as tier-1 does for
 RuntimeWarning), and a report under --json must be strict JSON.
 
 The values keep each example cheap: searches get degrees, cofactor degrees
-and boxes of at most 1, and integrations short paths.  Two inputs are left
-out for their cost alone, each where it would be drawn: a huge probe
-degree, and the identity map on P6.  The choices come from one drawn seed,
-so shrinking a failing example does not simplify its argv, which hypothesis
-prints in full.
+and boxes of at most 1, and integrations short paths.  A huge probe degree
+and the identity map on P6 are drawn like any other input, since each must
+end quickly.  The choices come from one drawn seed, so shrinking a failing
+example does not simplify its argv, which hypothesis prints in full.
 """
 
 import contextlib
@@ -73,8 +72,7 @@ REQUIRED = {
 OPTIONAL = {
     "integrate": {"--tol": TOLS},
     "drift": {"--tol": TOLS},
-    # a huge --degree is left out: the default basis grows exponentially
-    "probe": {"--tol": TOLS, "--degree": (("1", "2", "3"), ("0",)),
+    "probe": {"--tol": TOLS, "--degree": (("1", "2", "3"), ("0", "40")),
               "--threshold": (("1e-6", "1e-3", "0.5"), ("0",)),
               "--basis": (("1,t,y,y^2,y'", "1,y", "1*y*y'", "dy"),
                           ("1,z^2", "y^x", "1,y^99999999999999999999",
@@ -106,10 +104,6 @@ def argvs(draw):
             pairs.append(("--map", map_name))
         if map_name in MAP_FAMILY and mostly():
             family = MAP_FAMILY[map_name]
-        elif map_name == "identity" and family == "P6":
-            # left out for its cost alone: the exact check of P6 against
-            # itself spends about a minute cancelling PhaseRational values
-            family = "S6"
     if mostly():
         pairs.append(("--family", family))
     names = list(parameter_names(family) if family in FAMILIES else ("alpha",))

@@ -5,8 +5,8 @@ exit code and the text `cli.main` prints under ``--json``.  The commands are
 the README examples, the seven kinds of the ``cli`` benchmark workload
 (``perfbench/workloads.py``) at fixed parameters, and the other subcommands:
 drift, first-integrals, instantiate, hamiltonian-check and tangent-lift,
-plus a parameter reduction, a negative verdict of each kind and a domain
-error.  Regenerate it with
+plus a parameter reduction, a negative verdict of each kind, the identity
+map on P6 and a domain error.  Regenerate it with
 
     PYTHONPATH=src python tests/test_cli_json.py > tests/data/cli_json.txt
 
@@ -63,6 +63,10 @@ CASES = {
         "transform-check", "--map", "p3prime-scaling",
         "--param", "alpha=sym:alpha", "--param", "beta=sym:beta",
         "--param", "gamma=sym:gamma", "--param", "delta=sym:delta"),
+    "transform-check-identity-p6": (
+        "transform-check", "--map", "identity", "--family", "P6",
+        "--param", "alpha=1/2", "--param", "beta=2/5", "--param", "gamma=-3",
+        "--param", "delta=1/3"),
     "drift": ("drift", *_S2_LINE, "--initial", "1,0.3,0", "--path", "1,2+1i,3",
               "--tol", "1e-10", "--poly", "x"),
     "first-integrals": ("first-integrals", "--family", "P1", "--deg-xy", "2",

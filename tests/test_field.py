@@ -508,10 +508,33 @@ def test_cancel_cap_keeps_the_quotient_as_built(monkeypatch):
     assert got[0] is num and got[1] is den
 
 
+def test_coprime_quotient_is_kept_without_a_gcd(monkeypatch):
+    tab = SymbolTable()
+    num, den = parse_poly("(x + t)*(y - 1)", tab), parse_poly("x + 2", tab)
+    gcds = _counting(monkeypatch, "_pgcd")
+    got = field._phase_cancel(num, den)
+    assert gcds == []
+    assert got[0] is num and got[1] is den
+
+
+def test_metered_gcd_takes_no_shortcut(monkeypatch):
+    # only an unmetered gcd asks the mod-p check, so a metered one spends
+    # its budget exactly as it would without the check
+    a = field._padd(field._pvar(0), field._pconst(1))
+    b = field._padd(field._pvar(1), field._pconst(2))
+    checks = _counting(monkeypatch, "_coprime_mod_p")
+    assert field._pgcd(a, b, 2, [field._CANCEL_CAP]) == field._pconst(1)
+    assert checks == []
+    assert field._pgcd(a, b, 2) == field._pconst(1)
+    assert len(checks) == 1
+
+
 def test_cancel_budget_is_private_to_its_quotient(monkeypatch):
     # thread A is held inside its metered gcd while this thread does
-    # FieldElem arithmetic, whose gcds (728 units) exceed A's cap of 200:
-    # they must run unmetered and leave A's budget alone
+    # FieldElem arithmetic, whose gcds (435 units) exceed A's cap of 200: they
+    # must run unmetered and leave A's budget alone.  The sums telescope,
+    # so each one cancels a real common factor t + k + 1 and the mod-p
+    # coprimality check cannot skip its gcd.
     monkeypatch.setattr(field, "_CANCEL_CAP", 200)
     tab = SymbolTable()
     num, den = _common_factor_quotient(tab)
@@ -519,13 +542,25 @@ def test_cancel_budget_is_private_to_its_quotient(monkeypatch):
 
     def arithmetic():
         s = t * 0
-        for k in range(1, 9):
-            s = s + 1 / (t + k)
+        for k in range(1, 17):
+            s = s + 1 / ((t + k) * (t + k + 1))
         return s
 
     want_a = [str(p) for p in field._phase_cancel(num, den)]
+    units = []
+    spend = field._spend
+
+    def counted(budget, n):
+        if budget is None:
+            units.append(n)
+        return spend(budget, n)
+
+    monkeypatch.setattr(field, "_spend", counted)
     want_b = str(arithmetic())
+    monkeypatch.setattr(field, "_spend", spend)
     assert want_a == ["y - 1", "x + 2"]
+    assert want_b == "16/(t^2 + 18*t + 17)"
+    assert sum(units) > 200
 
     inside, b_done = threading.Event(), threading.Event()
     content_in = field._content_in

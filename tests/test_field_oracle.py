@@ -2,7 +2,9 @@
 
 The property tests draw random elements of Q(t, a, b), and of the same
 field extended by one radical s with s^2 = 2/a, and compare +, -, *, /,
-d(), _pgcd, exact_divide and coeff_d with sympy's cancel, gcd and diff.
+d(), _pgcd, exact_divide and coeff_d with sympy's cancel, gcd and diff,
+and check that the mod-p coprimality certificate _coprime_mod_p answers
+True only for operands whose sympy gcd is 1.
 Radical results are compared modulo the relation a*s^2 - 2.  Besides the
 value, every result must be in canonical form: coprime numerator and
 denominator, a monic denominator free of s, s to the power at most 1, and
@@ -239,6 +241,63 @@ def test_coeff_d_matches_sympy(P):
         dc = out.coefficient(e)
         _assert_canonical(dc, sympy.diff(_sym(c), T))
     assert set(out.terms) <= set(P.terms)
+
+
+# ---------------------------------------------------------------------------
+# the mod-p coprimality certificate: True only for coprime operands
+
+
+def _coprime(p, q):
+    gens = GENS[id(QT)]
+    return not sympy.gcd(_sym_poly(p, gens), _sym_poly(q, gens)).free_symbols
+
+
+@ORACLE
+@given(_polys((2, 2, 2), min_size=1), _polys((2, 2, 2), min_size=1),
+       _polys((1, 1, 1), min_size=1, max_size=2))
+def test_coprime_mod_p_is_true_only_for_coprime_operands(f, g, h):
+    # h, a constant in some examples, gives the operands a common factor
+    p, q = field._pmul(f, h), field._pmul(g, h)
+    assume(p and q)
+    if field._coprime_mod_p(p, q):
+        assert _coprime(p, q)
+
+
+@ORACLE
+@given(_polys((2, 2, 2), min_size=1), _polys((2, 2, 2), min_size=1),
+       _polys((2, 2, 2), min_size=1))
+def test_coprime_mod_p_refuses_a_planted_common_factor(f, g, h):
+    assume(not set(h) <= {()})
+    p, q = field._pmul(f, h), field._pmul(g, h)
+    assume(p and q)
+    assert not field._coprime_mod_p(p, q)
+
+
+def test_coprime_mod_p_refuses_a_leading_coefficient_vanishing_at_its_point():
+    # h = (t - c_t)(a - c_a) + 1 has both leading coefficients zero at the
+    # fixed point, where its images in t and in a are the constant 1
+    c_t, c_a = field._coprime_point(0), field._coprime_point(1)
+    t, a, b = (field._pvar(i) for i in range(3))
+    h = field._padd(field._pmul(field._psub(t, field._pconst(c_t)),
+                                field._psub(a, field._pconst(c_a))),
+                    field._pconst(1))
+    p = field._pmul(h, field._padd(b, field._pconst(1)))
+    q = field._pmul(h, field._padd(b, field._pconst(2)))
+    assert not _coprime(p, q)
+    assert not field._coprime_mod_p(p, q)
+    # plus t, its leading coefficient in t is 1 at the point, and it is seen
+    p2 = field._pmul(field._padd(h, t), field._padd(b, field._pconst(1)))
+    q2 = field._pmul(field._padd(h, t), field._padd(b, field._pconst(2)))
+    assert not field._coprime_mod_p(p2, q2)
+
+
+def test_coprime_mod_p_refuses_p_in_a_denominator():
+    p = field._COPRIME_P
+    t = field._pvar(0)
+    other = field._padd(t, field._pconst(2))
+    assert field._coprime_mod_p(field._padd(t, field._pconst(F(1, 3))), other)
+    assert not field._coprime_mod_p(field._padd(t, field._pconst(F(1, p))), other)
+    assert _coprime(field._padd(t, field._pconst(F(1, p))), other)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from fractions import Fraction as F
 
@@ -287,6 +288,13 @@ def test_insufficient_samples():
     tr = integrate(_s2(), (1, 0.3, 0), PathSpec([1, 1.001]), tol=1e-6)
     with pytest.raises(InsufficientSamplesError, match="at least"):
         relation_probe(tr, degree=3)
+
+
+@pytest.mark.parametrize("nvars, degree", [(1, 4), (3, 3), (5, 2)])
+def test_default_basis_is_every_monomial_up_to_the_degree(nvars, degree):
+    want = sorted((e for e in itertools.product(range(degree + 1), repeat=nvars)
+                   if sum(e) <= degree), key=lambda e: (sum(e), e))
+    assert numint._default_basis(nvars, degree) == want
 
 
 def test_zero_error_step_warns_nothing():
