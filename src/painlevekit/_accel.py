@@ -12,7 +12,13 @@ third stage of the search and lives in ``dvariety``:
    coordinates.  One Hessenberg reduction per distinct prefix g[1:] and a
    characteristic-polynomial recurrence at each g[0] in the box test all
    candidates at once;
-2. full mod-p rank: one elimination of the full system per survivor.
+2. eigenvector, with full rank as fallback: where the Hessenberg form of
+   N is unreduced, each eigenvalue has a one-dimensional eigenspace.  Its
+   eigenvector, found by back substitution and carried back through the
+   recorded reduction, decides the survivor by one product with the whole
+   system.  Where the form is reduced (N derogatory, or the fixed start
+   vector of the reduction unlucky), one elimination of the full system
+   mod p decides instead.
 
 Both stages are sound (they drop only candidates whose system has full
 rank mod p, hence over Q), and the keep mask equals that of the full rank
@@ -36,8 +42,9 @@ that formula (``_cdiv``).  Where numpy returned inf or nan, Python raises
 catches those cases and carries on with the value numpy had, so a huge or
 non-finite state ends in a pole or an abort, never in a warning.
 
-``darboux_candidate_flags`` logs its stage counts at DEBUG level on the
-``painlevekit`` logger hierarchy.
+``darboux_candidate_flags`` logs two DEBUG records on the ``painlevekit``
+logger hierarchy: the candidates left after each stage, and how many
+survivors the eigenvector and the full rank test each decided.
 """
 
 import math
@@ -117,13 +124,22 @@ def kernel_flags_numpy(A, B, cand, p):
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue prefilter
+# eigenvalue prefilter and eigenvector test
 #
 # When B[0] is c times a partial permutation (one nonzero per column, in
-# distinct rows S), the rows S of the system read N - g[0]*c*I with
-# N = A_S - sum_{k>=1} g[k]*B[k]_S square.  Full rank of that block implies
-# full rank of the system, so det(N - g[0]*c*I) = 0 mod p is a sound
-# keep-filter.  Every product below is of two residues, inside int64.
+# distinct rows S), the rows S of the system read N - lam*I with
+# lam = g[0]*c and N = A_S - sum_{k>=1} g[k]*B[k]_S square.  Full rank of
+# that block implies full rank of the system, so det(N - lam*I) = 0 mod p
+# is a sound keep-filter.  Every kernel vector of the system lies in
+# ker(N - lam*I).  When the Hessenberg form of N is unreduced (no
+# subdiagonal entry is 0 mod p), H - lam*I has rank at least C - 1, so at
+# an eigenvalue that kernel is the line of one eigenvector v, and the
+# system has a kernel exactly when it annihilates v.  Every product below
+# is of two residues, inside int64.
+
+# stage of each candidate: dropped by its eigenvalue, dropped or kept by
+# its eigenvector, or left to the full rank test (reduced Hessenberg form)
+_NO_EIGENVALUE, _NOT_ANNIHILATED, _ANNIHILATED, _REDUCED = range(4)
 
 
 def _identity_rows(B0):
@@ -139,8 +155,29 @@ def _identity_rows(B0):
     return rows, int(vals[0])
 
 
-def _hessenberg_mod(H, p):
-    """Reduce each H[n] in place to upper Hessenberg form by similarity."""
+def _start_vector(C, p):
+    """Fixed r with r[0] = 1 (Park-Miller terms), the vector the reduction
+    starts from.  e_1 often lies in a proper invariant subspace of the
+    search's sparse blocks, and a Hessenberg form started from it is then
+    reduced."""
+    return np.array([pow(48271, i, p) for i in range(C)], np.int64)
+
+
+def _start_similarity(H, r, p):
+    """T^-1 H[n] T for T = I + (r - e_1) e_1^T, whose inverse is
+    I - (r - e_1) e_1^T: what H[n] does to r, the result does to e_1."""
+    H = H.copy()
+    H[:, :, 0] = (H[:, :, 0] + ((H[:, :, 1:] * r[1:]) % p).sum(axis=2)) % p
+    H[:, 1:, :] = (H[:, 1:, :] - r[1:, None] * H[:, None, 0, :]) % p
+    return H
+
+
+def _hessenberg_mod(H, p, steps=None):
+    """Reduce each H[n] in place to upper Hessenberg form by similarity.
+
+    When a list is given, step j appends (piv, f): the index swapped with
+    j + 1, and the multipliers of row j + 1 taken from rows j + 2 on.
+    """
     C = H.shape[1]
     for j in range(C - 2):
         nzb = H[:, j + 1:, j] != 0
@@ -163,6 +200,8 @@ def _hessenberg_mod(H, p):
                             - f[:, :, None] * H[:, j + 1, None, j:]) % p
         H[:, :, j + 1] = (H[:, :, j + 1]
                           + ((H[:, :, j + 2:] * f[:, None, :]) % p).sum(axis=2)) % p
+        if steps is not None:
+            steps.append((piv, f))
     return H
 
 
@@ -183,6 +222,54 @@ def _charpoly_hessenberg(H, lams, p):
     return P[:, :, C]
 
 
+def _eigenvectors(H, lams, steps, r, p):
+    """A nonzero v with N v = lam v for each unreduced H = X T^-1 N T X^-1
+    at an eigenvalue lam, where X is the product of the recorded steps."""
+    n, C, _ = H.shape
+    ar = np.arange(n)
+    w = np.zeros((n, C), np.int64)
+    w[:, C - 1] = 1
+    # rows C-1, ..., 1 of (H - lam*I) w = 0 fix w[C-2], ..., w[0]; row 0
+    # follows, since the determinant is 0.  Scaling w by the subdiagonal
+    # entry stands in for dividing by it.
+    for i in range(C - 1, 0, -1):
+        row = H[:, i, i:].copy()
+        row[:, 0] -= lams
+        s = ((row % p) * w[:, i:] % p).sum(axis=1)
+        w[:, i:] = (w[:, i:] * H[:, i, i - 1, None]) % p
+        w[:, i - 1] = -s % p
+    # undo the steps, last first, each by the inverse of its elimination
+    # (w[i] gains f_i * w[j+1]) and then its swap; last, w <- T w
+    for j in range(len(steps) - 1, -1, -1):
+        piv, f = steps[j]
+        w[:, j + 2:] = (w[:, j + 2:] + f * w[:, j + 1, None]) % p
+        top = w[:, j + 1].copy()
+        w[:, j + 1] = w[ar, piv]
+        w[ar, piv] = top
+    w[:, 1:] = (w[:, 1:] + w[:, :1] * r[1:]) % p
+    return w
+
+
+def _system_nonzeros(A, B, p):
+    """The nonzeros of A - sum_k g[k]*B[k] sorted by row, as (coefficient
+    index: 0 for A, k + 1 for B[k]; column; value; start of each row)."""
+    mats = np.concatenate([A[None], (-B) % p])
+    k, i, j = np.nonzero(mats)
+    order = np.argsort(i, kind="stable")
+    k, i, j = k[order], i[order], j[order]
+    starts = np.flatnonzero(np.diff(i, prepend=-1))
+    return k, j, mats[k, i, j], starts
+
+
+def _annihilated(system, coef, v, p):
+    """Whether (A - sum_k g[k]*B[k]) v = 0 mod p, coef rows (1, g) mod p."""
+    k, j, vals, starts = system
+    if not vals.size:
+        return np.ones(len(v), bool)
+    terms = (coef[:, k] * vals % p) * v[:, j] % p
+    return (np.add.reduceat(terms, starts, axis=1) % p == 0).all(axis=1)
+
+
 def _distinct_rows(X):
     """(distinct rows in lexicographic order, index of each row among them).
 
@@ -198,9 +285,11 @@ def _distinct_rows(X):
     return X[first], inv
 
 
-def eigen_prefilter(A, B, cand, p):
-    """Keep-mask that contains the full rank test's; all True without an
-    identity block in B[0].  Inputs reduced mod p as in the full test.
+def eigen_stages(A, B, cand, p):
+    """The stage that decides each candidate: ``_NO_EIGENVALUE``,
+    ``_NOT_ANNIHILATED``, ``_ANNIHILATED``, or ``_REDUCED`` when only the
+    full rank test can; all ``_REDUCED`` without an identity block in
+    B[0].  Inputs reduced mod p as in the full test.
 
     Prefixes are processed in chunks of 1024, about 1.2 MB per chunk for a
     12 x 12 block, so no candidate-sized array of matrices is built.
@@ -208,46 +297,74 @@ def eigen_prefilter(A, B, cand, p):
     N, m = cand.shape
     block = _identity_rows(B[0]) if m else None
     if block is None:
-        return np.ones(N, bool)
+        return np.full(N, _REDUCED, np.int8)
     rows, c = block
     g0, g0_idx = np.unique(cand[:, 0], return_inverse=True)
     prefixes, pre_idx = _distinct_rows(cand[:, 1:])
-    lams = (g0 % p) * c % p
+    g0 = g0 % p
+    lams = g0 * c % p
     prefixes = prefixes % p
-    AS = A[rows]
-    BS = B[1:, rows]
-    dets = np.empty((len(prefixes), g0.size), np.int64)
+    # the start similarity is linear in the block: apply it to each term
+    r = _start_vector(len(rows), p)
+    AS = _start_similarity(A[None, rows], r, p)[0]
+    # each B[k] of the block by its few nonzeros
+    scatter = [(np.nonzero(b), b[np.nonzero(b)])
+               for b in _start_similarity(B[1:, rows], r, p)]
+    system = _system_nonzeros(A, B, p)
+    stages = np.empty((len(prefixes), g0.size), np.int8)
     chunk = 1024
     for s in range(0, len(prefixes), chunk):
         g = prefixes[s:s + chunk]
         H = np.broadcast_to(AS, (len(g),) + AS.shape).copy()
-        for k in range(m - 1):
-            H = (H - g[:, k, None, None] * BS[k]) % p
-        dets[s:s + chunk] = _charpoly_hessenberg(_hessenberg_mod(H, p), lams, p)
-    return dets[pre_idx, g0_idx] == 0
+        for k, ((ii, jj), vals) in enumerate(scatter):
+            H[:, ii, jj] = (H[:, ii, jj] - g[:, k, None] * vals) % p
+        steps = []
+        _hessenberg_mod(H, p, steps)
+        singular = _charpoly_hessenberg(H, lams, p) == 0
+        stage = np.where(singular, _REDUCED, _NO_EIGENVALUE).astype(np.int8)
+        unreduced = (np.diagonal(H, -1, 1, 2) != 0).all(axis=1)
+        a, b = np.nonzero(singular & unreduced[:, None])
+        if a.size:
+            v = _eigenvectors(H[a], lams[b], [(piv[a], f[a]) for piv, f in steps], r, p)
+            coef = np.column_stack([np.ones(a.size, np.int64), g0[b], g[a]])
+            stage[a, b] = np.where(_annihilated(system, coef, v, p),
+                                   _ANNIHILATED, _NOT_ANNIHILATED)
+        stages[s:s + chunk] = stage
+    return stages[pre_idx, g0_idx]
+
+
+def eigen_prefilter(A, B, cand, p):
+    """Keep-mask of the eigenvalue stage alone, which contains the full
+    rank test's; all True without an identity block in B[0]."""
+    return eigen_stages(A, B, cand, p) != _NO_EIGENVALUE
 
 
 def darboux_candidate_flags(A, B, cand, p=MOD_P):
     """Boolean keep-mask over cofactor candidates (nontrivial kernel mod p).
 
-    The eigenvalue prefilter narrows the candidates; the full rank test
-    decides on the survivors alone.
+    The eigenvalue prefilter narrows the candidates; the eigenvector test
+    decides the survivors whose Hessenberg form is unreduced, and the full
+    rank test the others.
     """
     A = np.asarray(A, np.int64) % p
     B = np.asarray(B, np.int64) % p
     cand = np.asarray(cand, np.int64)
-    pre = np.nonzero(eigen_prefilter(A, B, cand, p))[0]
-    flags = np.zeros(len(cand), bool)
-    flags[pre] = kernel_flags_numpy(A, B, cand[pre], p).astype(bool)
+    stage = eigen_stages(A, B, cand, p)
+    flags = stage == _ANNIHILATED
+    rest = np.nonzero(stage == _REDUCED)[0]
+    flags[rest] = kernel_flags_numpy(A, B, cand[rest], p).astype(bool)
     # a DEBUG record can only be wanted once logging has been imported to
     # configure it; importing it here would cost every process start-up
     logging = sys.modules.get("logging")
     if logging is not None:
         log = logging.getLogger(__name__)
         if log.isEnabledFor(logging.DEBUG):
+            survivors = int((stage != _NO_EIGENVALUE).sum())
             log.debug("darboux filter: %d candidates, %d after eigenvalue "
-                      "prefilter, %d after full rank", len(cand), len(pre),
+                      "prefilter, %d after full rank", len(cand), survivors,
                       int(flags.sum()))
+            log.debug("darboux survivors: %d by eigenvector, %d by full rank",
+                      survivors - len(rest), len(rest))
     return flags
 
 
@@ -290,6 +407,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = map(complex, (
 STATUS_COMPLETED = 0
 STATUS_POLE = 1
 STATUS_ABORTED = 2
+
+# steps a dopri5_path call takes at most, so it returns at most one more
+# sample
+MAX_STEPS = 200_000
 
 
 def _fdiv(a, b):
@@ -519,7 +640,7 @@ def _dopri5_core(rhs, wps, y0, x0, tol, blowup, hfloor, maxsteps):
 
 
 def dopri5_path(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
-                blowup=1e8, hfloor=1e-12, maxsteps=200_000):
+                blowup=1e8, hfloor=1e-12, maxsteps=MAX_STEPS):
     """Integrate along the polyline; returns (t, y, x lists, status, t_est)."""
     rhs = compile_rhs(fex, fco, fde, gex, gco, gde)
     wps = np.asarray(wps, np.complex128).tolist()

@@ -8,7 +8,8 @@ the phase variables.  This module provides:
 * tangent_lift        the shifted tangent equations in u1, u2
 * verify_darboux      exact divisibility check D(P) = G*P
 * darboux_search      bounded search over integer-coefficient cofactors:
-                      eigenvalue prefilter, full mod-p rank, exact kernel
+                      eigenvalue prefilter, eigenvector test (full mod-p
+                      rank as fallback), exact kernel
 * first_integral_search  the G = 0 special case
 * rescale             multiply D by a nonzero factor (certificate transport)
 
@@ -414,8 +415,10 @@ def darboux_search(D: DVectorField, bounds: SearchBounds,
     1. eigenvalue prefilter: the constant cofactor coefficient is not
        enumerated but solved for, as an eigenvalue mod p of the square
        block the other coefficients fix;
-    2. full mod-p rank: an elimination of the whole system for each
-       survivor of stage 1;
+    2. eigenvector, with full rank as fallback: each survivor of stage 1
+       whose square block has a one-dimensional eigenspace there is
+       decided by whether the whole system annihilates its eigenvector;
+       the others by an elimination of the whole system mod p;
     3. exact kernel: Fraction elimination for each survivor of stage 2,
        then re-verification of every polynomial found.
 

@@ -457,6 +457,11 @@ def _phase_values(q: PhasePoly, radvals, ts, ys, xs) -> np.ndarray:
 # relation probe
 
 
+# a probe needs two samples per basis monomial, and an integration returns
+# at most MAX_STEPS + 1 samples
+MAX_PROBE_COLUMNS = (_accel.MAX_STEPS + 1) // 2
+
+
 def _default_basis(nvars: int, degree: int) -> list:
     """Every exponent vector of total degree <= degree, by degree then lex."""
     out = []
@@ -509,6 +514,11 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
         if degree < 1:
             raise ConstraintError("probe degree must be at least 1")
         ncols = math.comb(nvars + degree, degree)
+        if ncols > MAX_PROBE_COLUMNS:
+            # refused before the basis is built, degenerate trajectory or not
+            raise ConstraintError(
+                f"probe degree {degree} needs {ncols} basis monomials; no "
+                f"trajectory supports more than {MAX_PROBE_COLUMNS}")
     else:
         basis = [tuple(int(k) for k in e) for e in basis]
         for e in basis:

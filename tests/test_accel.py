@@ -1,8 +1,10 @@
 """The Darboux candidate filter: parity with the plain elimination loop
-kept here as the reference, soundness of the eigenvalue prefilter, stage
-counts and search results.  The integrator's generated right-hand side:
-bit parity with the numpy-scalar loop it replaced, kept here as the
-reference, and numpy's complex division on Python scalars."""
+kept here as the reference, on random pencils and on pencils planted to
+send survivors to both the eigenvector test and its full rank fallback;
+soundness of the eigenvalue prefilter, stage counts and search results.
+The integrator's generated right-hand side: bit parity with the
+numpy-scalar loop it replaced, kept here as the reference, and numpy's
+complex division on Python scalars."""
 
 import logging
 import os
@@ -147,6 +149,123 @@ def test_prefilter_keeps_every_candidate_the_full_test_keeps(p):
     assert dropped > 0
 
 
+def _mm(X, Y, p):
+    # matrix product mod p, each product reduced before the sum
+    return (X[:, :, None] * Y[None, :, :] % p).sum(axis=1) % p
+
+
+def _rand(rng, p, rows, cols):
+    return np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
+                    np.int64).reshape(rows, cols)
+
+
+def _singular(rng, p, C, nullity):
+    """Random C x C matrix mod p with `nullity` planted null vectors, and
+    those vectors (random on the first C - nullity coordinates, a unit
+    vector on the others)."""
+    free = C - nullity
+    K = _rand(rng, p, C, C)
+    nulls = []
+    for n in range(nullity):
+        w = _rand(rng, p, free, 1)
+        K[:, free + n] = -_mm(K[:, :free], w, p)[:, 0] % p
+        null = np.zeros(C, np.int64)
+        null[:free], null[free + n] = w[:, 0], 1
+        nulls.append(null)
+    return K, nulls
+
+
+def _planted_pencil(rng, p, triangular):
+    """Random (A, B, cand, a, b), B[0] = c times a partial permutation, with
+    the square block N(g) = A_S - sum_{k>=1} g[k]*B[k]_S planted at the
+    candidates a and b, which differ in g[1]: N - a[0]*c*I has a
+    two-dimensional kernel at a (N is derogatory there, so its Hessenberg
+    form is always reduced), and N - b[0]*c*I has a null vector v at b,
+    which the other rows of the system annihilate or not, at random.
+
+    triangular: every N(g) is upper triangular by blocks of s and C - s
+    rows, so that N(g) keeps e_1 inside the first s coordinates, and a
+    Hessenberg form started from e_1 would always be reduced.
+    """
+    C = rng.randint(2, 5)
+    R = C + rng.randint(1, 2)
+    m = rng.randint(2, 3)
+    c = rng.randrange(1, p)
+    box = _box(m, 2)
+    a = box[rng.randrange(len(box))]
+    b = a
+    while b[1] == a[1]:
+        b = box[rng.randrange(len(box))]
+    mask = np.ones((C, C), np.int64)
+    if triangular:
+        s = rng.randint(1, C - 1)
+        mask[s:, :s] = 0
+        # [[X, X W], [0, Z]] has the null vectors (x, 0) and (-W z, z)
+        X, _ = _singular(rng, p, s, 1)
+        Z, _ = _singular(rng, p, C - s, 1)
+        K1 = np.zeros((C, C), np.int64)
+        K1[:s, :s], K1[:s, s:], K1[s:, s:] = X, _mm(X, _rand(rng, p, s, C - s), p), Z
+        K2 = _rand(rng, p, C, C) * mask
+        K2[:s, :s], (x,) = _singular(rng, p, s, 1)
+        v = np.zeros(C, np.int64)
+        v[:s] = x
+    else:
+        K1, _ = _singular(rng, p, C, 2)
+        K2, (v,) = _singular(rng, p, C, 1)
+    eye = np.eye(C, dtype=np.int64)
+    D1 = (K1 + int(a[0]) * c * eye) % p
+    D2 = (K2 + int(b[0]) * c * eye) % p
+    # N(a) = D1 and N(b) = D2 fix B[1] and A on the rows S
+    BS = np.zeros((m, C, C), np.int64)
+    for k in range(2, m):
+        BS[k] = _rand(rng, p, C, C) * mask
+    diff = (D1 - D2 + sum(int(a[k] - b[k]) * BS[k] for k in range(2, m))) % p
+    BS[1] = -diff * _modinv(int(a[1] - b[1]), p) % p
+    AS = (D1 + sum(int(a[k]) * BS[k] % p for k in range(1, m))) % p
+    rows = rng.sample(range(R), C)
+    rest = [i for i in range(R) if i not in rows]
+    A = np.zeros((R, C), np.int64)
+    B = np.zeros((m, R, C), np.int64)
+    B[0, rows, range(C)] = c
+    B[1:, rows] = BS[1:]
+    for k in range(1, m):
+        B[k, rest] = _rand(rng, p, R - C, C)
+    W = _rand(rng, p, R - C, C)
+    if rng.random() < 0.5:
+        # rows with W v = 0: v is a kernel vector of the system at b
+        j = int(np.flatnonzero(v)[0])
+        others = _mm(np.delete(W, j, axis=1), np.delete(v, j)[:, None], p)[:, 0]
+        W[:, j] = -others * _modinv(int(v[j]), p) % p
+    A[rows] = AS
+    A[rest] = (W + sum(int(b[k]) * B[k, rest] % p for k in range(1, m))) % p
+    # every candidate in shuffled order, some repeated
+    order = rng.sample(range(len(box)), len(box))
+    order += [rng.randrange(len(box)) for _ in range(10)]
+    return A, B, box[order], a, b
+
+
+@pytest.mark.parametrize("triangular", [False, True])
+@pytest.mark.parametrize("p", [7, 101, _accel.MOD_P])
+def test_filter_matches_elimination_loop_on_planted_pencils(p, triangular):
+    rng = random.Random(f"planted-{p}-{triangular}")
+    seen = np.zeros(4, np.int64)
+    kept = np.zeros(4, np.int64)
+    for _ in range(25):
+        A, B, cand, a, b = _planted_pencil(rng, p, triangular)
+        want = _oracle(A, B, cand, p)
+        assert (_accel.darboux_candidate_flags(A, B, cand, p) == want).all()
+        stage = _accel.eigen_stages(A % p, B % p, cand, p)
+        # a derogatory block has no unreduced Hessenberg form
+        assert (stage[(cand == a).all(axis=1)] == _accel._REDUCED).all()
+        seen += np.bincount(stage, minlength=4)
+        kept += np.bincount(stage[want], minlength=4)
+    assert kept[_accel._NO_EIGENVALUE] == kept[_accel._NOT_ANNIHILATED] == 0
+    # the full rank fallback and the eigenvector test each kept some
+    # candidates and dropped others
+    assert 0 < kept[_accel._REDUCED] < seen[_accel._REDUCED]
+    assert kept[_accel._ANNIHILATED] > 0 and seen[_accel._NOT_ANNIHILATED] > 0
+
+
 def test_pencil_without_identity_block_runs_the_full_test():
     p = 101
     rng = random.Random("dense")
@@ -190,6 +309,19 @@ def test_filter_logs_its_stage_counts(caplog):
     candidates, prefiltered, full = records[0].args
     assert candidates == 5 ** 6
     assert candidates >= prefiltered >= full >= len(certs) == 1
+
+
+def test_filter_logs_how_each_survivor_was_decided(caplog):
+    # at alpha = -1/2 some square blocks are derogatory, so the full rank
+    # test decides a share of the survivors
+    inst = catalog.instantiate("S2", {"alpha": F(-1, 2)})
+    with caplog.at_level(logging.DEBUG, logger="painlevekit"):
+        darboux_search(inst.derivation, SearchBounds(2, 1, 2))
+    [stages] = [r.args for r in caplog.records if r.msg.startswith("darboux filter")]
+    [survivors] = [r.args for r in caplog.records if r.msg.startswith("darboux survivors")]
+    by_eigenvector, by_full_rank = survivors
+    assert by_eigenvector > 0 and by_full_rank > 0
+    assert by_eigenvector + by_full_rank == stages[1]
 
 
 def test_filter_logs_nothing_above_debug(caplog):

@@ -529,6 +529,18 @@ def test_huge_probe_degree_ends_quickly(capsys):
     assert "InsufficientSamplesError" in err and "12341 basis monomials" in err
 
 
+def test_huge_probe_degree_on_a_degenerate_path_is_refused(capsys):
+    # a one-waypoint path gives equal samples: the probe once built all
+    # 176,851 monomials of degree 100 before it answered Degenerate
+    start = time.perf_counter()
+    code, out, err = _run_strict(capsys, "probe", "--family", "S2",
+                                 "--param", "alpha=-1/2", "--initial", "1,0.3,0",
+                                 "--path", "1", "--degree", "100")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "ConstraintError" in err and "probe degree 100" in err
+
+
 def test_bad_basis_is_usage_error(capsys):
     code, _, err = _run(capsys, "probe", "--family", "S2",
                         "--param", "alpha=-1/2", "--initial", "1,0.3,0",
