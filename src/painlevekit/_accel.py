@@ -22,7 +22,11 @@ third stage of the search and lives in ``dvariety``:
 
 Both stages are sound (they drop only candidates whose system has full
 rank mod p, hence over Q), and the keep mask equals that of the full rank
-test alone.  Both stages are vectorized numpy.
+test alone.  Both stages are vectorized numpy on int64 residues.  The
+pivots of each column are inverted together, by one batch inversion
+(Montgomery's trick), and the sums of products in the reduction and in the
+characteristic polynomial are integer matrix products over 16-bit halves,
+reduced once per result.
 
 The integrator is Dormand-Prince 5(4) on Python complex and float
 scalars.  ``compile_rhs`` turns the compiled system into the source of one
@@ -68,17 +72,45 @@ MOD_P = 2_147_483_647
 # keep-filter (false positives are removed by the exact stage).
 
 
-def _modinv_vec(a, p):
-    # a^(p-2) mod p by binary powering; entries stay below p^2 < 2^63
-    result = np.ones_like(a)
-    base = a % p
-    e = p - 2
-    while e:
-        if e & 1:
-            result = (result * base) % p
-        base = (base * base) % p
-        e >>= 1
-    return result
+def _inverse_mod(a, p):
+    """a^-1 mod p for each residue of the vector a, and 0 for 0.
+
+    Montgomery's batch inversion over a product tree: pairwise products
+    up to the root, one Fermat power of the root, and back down, where
+    each child's inverse is its parent's times its sibling.  Every product
+    is of two residues, inside int64.
+    """
+    nz = a != 0
+    x = np.where(nz, a, 1)
+    levels = []
+    while x.size > 1:
+        if x.size % 2:
+            x = np.append(x, 1)
+        levels.append(x)
+        x = x[0::2] * x[1::2] % p
+    # the root's inverse; x is empty for an empty a
+    inv = np.array([pow(int(r), p - 2, p) for r in x], np.int64)
+    for x in reversed(levels):
+        # the parents of x, without the padding one of its own level added
+        inv = inv[:x.size // 2]
+        down = np.empty_like(x)
+        down[0::2] = inv * x[1::2] % p
+        down[1::2] = inv * x[0::2] % p
+        inv = down
+    return np.where(nz, inv[:a.size], 0)
+
+
+def _split_matvec(X, v, p):
+    """X[n] @ v[n] for residues below p < 2^31, congruent mod p but not
+    reduced: below 2^62 when X has at most 2^14 columns.
+
+    v is split into its 16-bit halves.  Each product with a half is below
+    2^31 * 2^16 = 2^47, so a sum of at most 2^14 of them is below 2^61,
+    and only the (n, rows) sum of the high halves is reduced before its
+    shift.
+    """
+    s = X @ np.stack([v >> 16, v & 0xFFFF], axis=2)
+    return (s[:, :, 0] % p << 16) + s[:, :, 1]
 
 
 def kernel_flags_numpy(A, B, cand, p):
@@ -110,7 +142,7 @@ def kernel_flags_numpy(A, B, cand, p):
             Mi[ar, r0] = Mi[ar, piv]
             Mi[ar, piv] = tmp
             pivrow = Mi[ar, r0]
-            inv = _modinv_vec(pivrow[:, col], p)
+            inv = _inverse_mod(pivrow[:, col], p)
             pivrow = (pivrow * inv[:, None]) % p
             Mi[ar, r0] = pivrow
             below = rr[None, :] > r0[:, None]
@@ -193,13 +225,13 @@ def _hessenberg_mod(H, p, steps=None):
             H[s, :, j + 1] = H[s, :, r]
             H[s, :, r] = cols
         # without a pivot the column is already reduced: inv(0) = 0, f = 0
-        inv = _modinv_vec(H[:, j + 1, j], p)
-        f = (H[:, j + 2:, j] * inv[:, None]) % p
-        # rows i >= j+2 lose f_i * row j+1; column j+1 gains f_i * column i
-        H[:, j + 2:, j:] = (H[:, j + 2:, j:]
-                            - f[:, :, None] * H[:, j + 1, None, j:]) % p
-        H[:, :, j + 1] = (H[:, :, j + 1]
-                          + ((H[:, :, j + 2:] * f[:, None, :]) % p).sum(axis=2)) % p
+        f = H[:, j + 2:, j] * _inverse_mod(H[:, j + 1, j], p)[:, None] % p
+        # rows i >= j+2 lose f_i * row j+1
+        below = H[:, j + 2:, j:]
+        np.subtract(below, f[:, :, None] * H[:, j + 1, None, j:], out=below)
+        np.remainder(below, p, out=below)
+        # column j+1 gains f_i * column i
+        H[:, :, j + 1] = (H[:, :, j + 1] + _split_matvec(H[:, :, j + 2:], f, p)) % p
         if steps is not None:
             steps.append((piv, f))
     return H
@@ -208,17 +240,22 @@ def _hessenberg_mod(H, p, steps=None):
 def _charpoly_hessenberg(H, lams, p):
     """det(lam*I - H[n]) mod p for upper Hessenberg H[n], shape (n, len(lams))."""
     n, C, _ = H.shape
-    # P[:, :, k] = det of the leading k x k block of lam*I - H
+    # P[:, :, k] = det of the leading k x k block of lam*I - H, expanded
+    # along its last column: (lam - H[k-1, k-1]) P[k-1] minus, for i < k,
+    # H[i-1, k-1] * sub[i-1] * P[i-1], where sub[i-1] is the product of
+    # the subdiagonal entries H[i, i-1] ... H[k-1, k-2].  Both terms are
+    # below 2^62 in absolute value, so acc is reduced once per k.
     P = np.empty((n, lams.size, C + 1), np.int64)
     P[:, :, 0] = 1
+    sub = np.empty((n, 0), np.int64)
     for k in range(1, C + 1):
-        acc = ((lams[None, :] - H[:, k - 1, k - 1, None]) % p * P[:, :, k - 1]) % p
-        sub = np.ones(n, np.int64)
-        for i in range(k - 1, 0, -1):
-            sub = (sub * H[:, i, i - 1]) % p
-            coef = (H[:, i - 1, k - 1] * sub) % p
-            acc = (acc - coef[:, None] * P[:, :, i - 1]) % p
-        P[:, :, k] = acc
+        acc = (lams - H[:, k - 1, k - 1, None]) * P[:, :, k - 1]
+        if k > 1:
+            h = H[:, k - 1, k - 2, None]
+            sub = np.concatenate([sub * h % p, h], axis=1)
+            coef = H[:, :k - 1, k - 1] * sub % p
+            acc -= _split_matvec(P[:, :, :k - 1], coef, p)
+        P[:, :, k] = acc % p
     return P[:, :, C]
 
 

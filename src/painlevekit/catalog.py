@@ -97,11 +97,14 @@ class PainleveInstance:
     x'-component) pair; derivation is the matching vector field with
     e = 1.  hamiltonian_convention records which sign convention the
     stored Hamiltonian satisfies against the stored system ("minus",
-    "plus", or None when neither holds).
+    "plus", or None when neither holds).  The numeric form of the system,
+    compiled by the first numint.integrate on the instance, is kept for
+    the next ones.
     """
 
     __slots__ = ("family", "table", "params", "second_order", "system",
-                 "derivation", "hamiltonian", "hamiltonian_convention", "notes")
+                 "derivation", "hamiltonian", "hamiltonian_convention", "notes",
+                 "_compiled")
 
     def __init__(self, family, table, params, second_order, system,
                  derivation, hamiltonian, hamiltonian_convention, notes):
@@ -114,6 +117,8 @@ class PainleveInstance:
         self.hamiltonian = hamiltonian
         self.hamiltonian_convention = hamiltonian_convention
         self.notes = tuple(notes)
+        # numint.compile_system's arrays, read-only; None until integrated
+        self._compiled = None
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))

@@ -3,7 +3,9 @@
 Every subcommand prints a report: human-readable text by default, a JSON
 object under --json with the fixed keys command, verdict, witnesses,
 certificates, residuals, citations, warnings (plus command-specific
-extras).  Exit codes: 0 success, 1 domain error, 2 usage error.
+extras).  Exit codes: 0 success, 1 domain error, 2 usage error.  A
+reader that closes the pipe early ends the command quietly, with exit
+code 1 and nothing on stderr.
 
 Parameters are exact rationals (`--param alpha=3/2`); the prefix
 `sym:` declares a transcendental instead (`--param alpha=sym:a`).
@@ -19,6 +21,7 @@ attributes reaches every call.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -544,6 +547,22 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        # output still buffered meets a closed pipe here at the latest
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped reading: end quietly, with stdout on the null
+        # device so that the interpreter's flush at exit has no pipe to
+        # report either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

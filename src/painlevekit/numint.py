@@ -375,7 +375,12 @@ def integrate(instance, initial, path, tol: float = 1e-9) -> Trajectory:
             f"{_cstr(path.waypoints[0])}")
     _check_path(instance.family, path)
 
-    rhs = compile_system(instance)
+    rhs = instance._compiled
+    if rhs is None:
+        rhs = compile_system(instance)
+        for a in rhs:
+            a.flags.writeable = False
+        instance._compiled = rhs
     fex, fco, fde, gex, gco, gde = rhs
     wps = np.array(path.waypoints, dtype=np.complex128)
     ts, ys, xs, status, t_est = _accel.dopri5_path(
@@ -568,13 +573,14 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
     if zero.size:
         label = _monomial_label(basis[zero[0]], len(trajs))
         raise ConstraintError(f"basis monomial {label!r} is zero on every sample")
-    sing = np.linalg.svd(A / norms, compute_uv=False)
+    A /= norms
+    sing = np.linalg.svd(A, compute_uv=False)
     sigma_min = float(sing[-1])
 
     if sigma_min >= threshold:
         return RelationProbeResult(basis, sigma_min, None, NO_RELATION_FOUND,
                                    threshold, len(trajs))
-    _, _, vh = np.linalg.svd(A / norms, full_matrices=False)
+    _, _, vh = np.linalg.svd(A, full_matrices=False)
     coeff = np.conj(vh[-1]) / norms
     pivot = int(np.argmax(np.abs(coeff)))
     coeff = coeff / coeff[pivot]

@@ -562,6 +562,24 @@ def test_module_entry_point():
     assert rep["verdict"] == "StronglyMinimal"
 
 
+def test_closed_pipe_ends_quietly():
+    # `probe ... --degree 40 --json | head -c 300`: the reader leaves long
+    # before the 745 kB report is written, which once ended in a
+    # BrokenPipeError traceback from _print_json
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "painlevekit.cli", "probe", "--family", "S2",
+         "--param", "alpha=-1/2", "--initial", "1,0.3,0", "--path", "1",
+         "--degree", "40", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b"{") and len(head) == 300
+    assert err == b""
+
+
 _NUMERIC_MODULES = ("numpy", "painlevekit._accel", "painlevekit.numint")
 
 # each argv runs through cli.main in one process, in order; the process

@@ -143,6 +143,28 @@ def test_determinism_is_bit_for_bit():
     assert a.to_csv() == b.to_csv()
 
 
+def test_instance_compiles_its_system_once(monkeypatch):
+    calls = []
+    compile_system = numint.compile_system
+
+    def counted(instance):
+        calls.append(instance)
+        return compile_system(instance)
+
+    monkeypatch.setattr(numint, "compile_system", counted)
+    inst, fresh = _s2(), _s2()
+    a = integrate(inst, (1, 0.3, 0), PathSpec([1, 2]), tol=1e-9)
+    b = integrate(inst, (1, 0.3, 0), PathSpec([1, 2]), tol=1e-9)
+    c = integrate(fresh, (1, 0.3, 0), PathSpec([1, 2]), tol=1e-9)
+    assert calls == [inst, fresh]
+    assert a.samples == b.samples == c.samples
+    # the cached arrays are shared by every later integration: read-only
+    for arr in inst._compiled:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
 def test_step_cap_aborts_with_one_sample_per_step():
     # no step of this run is rejected before the 50th, so the capped run
     # keeps the start and one sample per step; uncapped, it goes further
