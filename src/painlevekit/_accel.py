@@ -370,12 +370,6 @@ def eigen_stages(A, B, cand, p):
     return stages[pre_idx, g0_idx]
 
 
-def eigen_prefilter(A, B, cand, p):
-    """Keep-mask of the eigenvalue stage alone, which contains the full
-    rank test's; all True without an identity block in B[0]."""
-    return eigen_stages(A, B, cand, p) != _NO_EIGENVALUE
-
-
 def darboux_candidate_flags(A, B, cand, p=MOD_P):
     """Boolean keep-mask over cofactor candidates (nontrivial kernel mod p).
 

@@ -10,13 +10,14 @@ Family tags: P1..P6 are the second-order equations; S2, S3prime, S4, S5,
 S6 are the polynomial Hamiltonian systems in natural (v or a)
 coordinates.  The classifier operates on natural coordinates only;
 reduce_parameters converts (alpha, beta, gamma, delta) input, tracking
-the square-root branches the conversion introduces.
+the square-root branches the conversion introduces.  Its square roots
+come from SymbolTable.root_of, so a radical already on the table
+(declared by the caller or by an earlier reduction) is reused, and only
+a root not yet in the field becomes a new radical symbol.
 """
 
 import itertools
-import math
 from fractions import Fraction
-from typing import Optional
 
 from . import transforms
 from .dvariety import DVectorField
@@ -531,38 +532,6 @@ def classify(family, params, *, table=None) -> ClassificationResult:
 # -- parameter reduction --------------------------------------------------------
 
 
-def _rat_sqrt(fr: Fraction) -> Optional[Fraction]:
-    if fr < 0:
-        return None
-    rn = math.isqrt(fr.numerator)
-    rd = math.isqrt(fr.denominator)
-    if rn * rn == fr.numerator and rd * rd == fr.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _sf_vec(fr: Fraction) -> frozenset:
-    """Odd-exponent primes of fr (sign encoded as -1); empty = square."""
-    m = fr.numerator * fr.denominator
-    vec = set()
-    if m < 0:
-        vec.add(-1)
-        m = -m
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            if e % 2:
-                vec.add(d)
-        d += 1
-    if m > 1:
-        vec.add(m)
-    return frozenset(vec)
-
-
 def _fresh_name(table, name):
     candidate = name
     k = 1
@@ -573,68 +542,26 @@ def _fresh_name(table, name):
 
 
 class _RootBuilder:
-    """Introduces principal square roots, reusing radicals and keeping
-    every root's sign choice for branch enumeration."""
+    """Takes principal square roots through the table, which reuses the
+    radicals it already holds, and keeps every root's sign choice for
+    branch enumeration."""
 
     def __init__(self, table):
         self.table = table
-        self.cache = {}     # canonical radicand string -> root elem
         self.roots = []     # (name, radicand, plus root, branchable)
         self.relations = []
-        self._rads = []     # (radicand, root) for declared symbolic radicands
-        self._rows = {}     # pivot prime -> (sf vector, root, radicand) rows
-                            # in echelon form over F2, for rational radicands
 
     def sqrt(self, name, radicand: FieldElem) -> FieldElem:
         self.relations.append((name, radicand))
-        fr = radicand.as_fraction()
-        if fr is not None and fr == 0:
+        if radicand.is_zero():
             root = self.table.zero()
             self.roots.append((name, radicand, root, False))
             return root
-        key = str(radicand)
-        root = self.cache.get(key)
+        root = self.table.root_of(radicand)
         if root is None:
-            if fr is not None:
-                root = self._rational_root(name, fr)
-            else:
-                root = self._symbolic_root(name, radicand)
-            self.cache[key] = root
+            root = self.table.declare_radical(_fresh_name(self.table, name), radicand)
         self.roots.append((name, radicand, root, True))
         return root
-
-    def _rational_root(self, name, fr: Fraction) -> FieldElem:
-        # eliminate against earlier radicands: a dependent squarefree part
-        # means the root is a rational multiple of a product of earlier roots
-        v = set(_sf_vec(fr))
-        acc_root = self.table.one()
-        acc_rad = Fraction(1)
-        while v:
-            row = self._rows.get(max(v))
-            if row is None:
-                break
-            rvec, rroot, rrad = row
-            v ^= rvec
-            acc_root = acc_root * rroot
-            acc_rad = acc_rad * rrad
-        if not v:
-            return acc_root * _rat_sqrt(fr / acc_rad)
-        sym = self.table.declare_radical(_fresh_name(self.table, name),
-                                         self.table.const(fr))
-        self._rows[max(v)] = (frozenset(v), sym / acc_root, fr / acc_rad)
-        return sym
-
-    def _symbolic_root(self, name, radicand: FieldElem) -> FieldElem:
-        # reuse an earlier root when the ratio is a square of a rational
-        for prior_rad, prior_root in self._rads:
-            ratio = (radicand / prior_rad).as_fraction()
-            if ratio is not None and ratio > 0:
-                q = _rat_sqrt(ratio)
-                if q is not None:
-                    return prior_root * q
-        sym = self.table.declare_radical(_fresh_name(self.table, name), radicand)
-        self._rads.append((radicand, sym))
-        return sym
 
     def branches(self):
         """All sign assignments, principal (all +) first; zero roots do
@@ -666,10 +593,11 @@ def _identity_reduction(family, params, table):
 def reduce_parameters(family, params, *, table=None) -> ReductionResult:
     """Convert (alpha, beta, ...) input to natural v/a coordinates.
 
-    Square roots taken along the way become radical symbols (or exact
-    rationals when the radicand is a perfect square).  All sign branches
-    are enumerated and classified; a verdict disagreement between
-    branches raises, since the exceptional sets are branch-symmetric.
+    Square roots taken along the way are those SymbolTable.root_of finds
+    in the field (exact rationals, or radicals already on the table), or
+    else new radical symbols.  All sign branches are enumerated and
+    classified; a verdict disagreement between branches raises, since the
+    exceptional sets are branch-symmetric.
     The principal (all plus) branch populates the returned instance.
     """
     if family not in FAMILIES:

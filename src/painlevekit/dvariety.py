@@ -455,11 +455,9 @@ def darboux_search(D: DVectorField, bounds: SearchBounds,
     for mi, ridx in enumerate(Bidx):
         B_mod[mi, ridx, np.arange(C)] = denlcm % _accel.MOD_P
 
-    if m == 0:
-        cand = np.zeros((1, 0), np.int64)
-    else:
-        vals = np.arange(-bounds.cofactor_box, bounds.cofactor_box + 1, dtype=np.int64)
-        cand = np.stack(np.meshgrid(*([vals] * m), indexing="ij"), axis=-1).reshape(-1, m)
+    # m >= 1: the constant (0, 0, 0) is always a cofactor monomial
+    vals = np.arange(-bounds.cofactor_box, bounds.cofactor_box + 1, dtype=np.int64)
+    cand = np.stack(np.meshgrid(*([vals] * m), indexing="ij"), axis=-1).reshape(-1, m)
     flags = _accel.darboux_candidate_flags(A_mod, B_mod, cand, _accel.MOD_P)
 
     found = {}

@@ -1,7 +1,11 @@
 """Exact arithmetic for the coefficient field K = Q(t, parameters).
 
 The field is Q(t) extended by named transcendental parameters and by
-square roots declared through relations s^2 = r.  Values are represented
+square roots declared through relations s^2 = r.  SymbolTable.root_of
+alone decides whether a square root is already in the field (a rational
+multiple of a product of declared radicals); declare_radical refuses a
+radicand that has one, and every module that takes square roots asks the
+table rather than deciding for itself.  Values are represented
 as reduced fractions of sparse multivariate polynomials with Fraction
 coefficients.  Canonical form:
 
@@ -50,6 +54,7 @@ All values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -385,35 +390,38 @@ def _pgcd(a: dict, b: dict, n: int, budget=None) -> dict:
 # symbol table
 
 
-def _squarefree_part(q: Fraction) -> int:
-    """Signed squarefree part of a rational: q = s * (square), s squarefree int."""
-    n = q.numerator * q.denominator  # q and n differ by the square den^2
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    s = 1
-    d = 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-        if n % d == 0:
-            s *= d
-            n //= d
-        d += 1
-    return sign * s * n
+def _rat_sqrt(q: Fraction) -> Optional[Fraction]:
+    """The nonnegative rational square root of q, or None if q has none."""
+    if q < 0:
+        return None
+    rn = math.isqrt(q.numerator)
+    rd = math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
 
 
-def _factor_exponents_mod2(n: int) -> dict:
-    out = {}
-    n = abs(n)
+def _square_class(q: Fraction) -> set:
+    """The class of q in Q*/Q*^2: its primes of odd exponent, with -1 for
+    the sign.  Empty exactly for positive squares (and for 0)."""
+    m = q.numerator * q.denominator  # q and m differ by the square den^2
+    out = set()
+    if m < 0:
+        out.add(-1)
+        m = -m
     d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) ^ 1
-            n //= d
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            if e % 2:
+                out.add(d)
         d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) ^ 1
-    return {p: 1 for p, e in out.items() if e}
+    if m > 1:
+        out.add(m)
+    return out
 
 
 class SymbolTable:
@@ -434,7 +442,7 @@ class SymbolTable:
         self._index = {"t": 0}
         self._relations: dict = {}    # radical index -> FieldElem radicand
         self._derivs: dict = {}       # index -> FieldElem (defaults: t->1, else 0)
-        self._rad_f2: dict = {}       # echelon F2 basis {pivot prime: exponent dict}
+        self._square_rows: dict = {}  # F2 echelon {pivot: (class, root, root^2)}
 
     # -- declarations ------------------------------------------------------
 
@@ -469,8 +477,10 @@ class SymbolTable:
 
         Rejected when the radicand is zero, depends on t or on any symbol
         with a nonzero derivative (radicals must be differential constants),
-        is a perfect square of a rational, or (for rational radicands) is
-        multiplicatively dependent mod squares on earlier rational radicands.
+        or already has a square root in the field (root_of is not None):
+        a rational square, a rational radicand that is a square times a
+        product of earlier rational radicands, or a radicand that is a
+        rational square times an earlier one.
         """
         self._check_name(name)
         if isinstance(radicand, str):
@@ -483,49 +493,70 @@ class SymbolTable:
         if not r.d().is_zero():
             raise RadicalDeclarationError(f"radicand of {name!r} is not a differential constant")
         q = r.as_fraction()
-        if q is not None:
-            # rational radicand: canonical soundness checks
-            sf = _squarefree_part(q)
-            if sf == 1 and q > 0:
+        root = self.root_of(r)
+        if root is not None:
+            if q is None:
+                (j,) = root.symbols_used(transitive=False)
+                raise RadicalDeclarationError(
+                    f"radicand duplicates {self._names[j]}^2 up to a square rational")
+            if root.as_fraction() is not None:
                 raise RadicalDeclarationError(
                     f"radicand {q} is a perfect square; declare the rational root instead")
-            vec = _factor_exponents_mod2(sf)
-            if sf < 0:
-                vec[-1] = 1
-            red = self._f2_reduce(vec)
-            if not red:
-                raise RadicalDeclarationError(
-                    f"radicand {q} is a square times a product of earlier radicands")
-            self._rad_f2[max(red)] = red
-        else:
-            for j, rj in self._relations.items():
-                ratio = r / rj
-                if ratio.as_fraction() is not None:
-                    fq = ratio.as_fraction()
-                    if fq > 0 and _squarefree_part(fq) == 1:
-                        raise RadicalDeclarationError(
-                            f"radicand duplicates {self._names[j]}^2 up to a square rational")
+            raise RadicalDeclarationError(
+                f"radicand {q} is a square times a product of earlier radicands")
         self._names.append(name)
         self._kinds.append(KIND_RADICAL)
         i = len(self._names) - 1
         self._index[name] = i
         self._relations[i] = r
-        return self.sym(name)
+        sym = self.sym(name)
+        if q is not None:
+            cls, acc_root, acc_square = self._reduce_square_class(q)
+            self._square_rows[max(cls)] = (cls, sym / acc_root, q / acc_square)
+        return sym
 
-    def _f2_reduce(self, vec: dict) -> dict:
-        # reduce against the echelon basis of prime-exponent vectors mod 2;
-        # empty result = multiplicatively dependent mod squares
-        v = dict(vec)
-        while v:
-            b = self._rad_f2.get(max(v))
-            if b is None:
-                return v
-            for p in b:
-                if p in v:
-                    del v[p]
-                else:
-                    v[p] = 1
-        return v
+    def root_of(self, radicand) -> Optional["FieldElem"]:
+        """A square root of the radicand already in the field, or None.
+
+        The one place that decides whether a square root needs a new
+        radical.  A rational q has one when its square class (Q*/Q*^2) is a
+        product of the classes of declared rational radicands r_i: then
+        prod s_i * sqrt(q / prod r_i), the second factor rational (0 has 0).
+        Any other r has s_j * sqrt(r / r_j) for the first radical s_j whose
+        ratio r / r_j is a positive rational square.  Other products of
+        several radicals (2*a with sqrt(2) and sqrt(a) declared) are missed.
+        """
+        r = as_elem(self, radicand)
+        q = r.as_fraction()
+        if q is not None:
+            cls, acc_root, acc_square = self._reduce_square_class(q)
+            return None if cls else acc_root * _rat_sqrt(q / acc_square)
+        for j, rj in self._relations.items():
+            ratio = (r / rj).as_fraction()
+            c = None if ratio is None else _rat_sqrt(ratio)
+            if c is not None:
+                return self.sym(self._names[j]) * c
+        return None
+
+    def _reduce_square_class(self, q: Fraction) -> tuple:
+        """Reduce the square class of q against the rational rows.
+
+        Returns (rest, root, square): root^2 = square is a product of
+        earlier rational radicands and q / square has the square class
+        rest, so an empty rest means q / square is a rational square.
+        """
+        cls = _square_class(q)
+        acc_root = self.one()
+        acc_square = Fraction(1)
+        while cls:
+            row = self._square_rows.get(max(cls))
+            if row is None:
+                break
+            row_cls, row_root, row_square = row
+            cls ^= row_cls
+            acc_root = acc_root * row_root
+            acc_square = acc_square * row_square
+        return frozenset(cls), acc_root, acc_square
 
     # -- lookups -----------------------------------------------------------
 

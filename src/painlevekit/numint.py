@@ -562,13 +562,19 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
         return cache[v]
 
     A = np.zeros((m, ncols), dtype=np.complex128)
-    for j, e in enumerate(basis):
-        col = np.ones(m, dtype=np.complex128)
-        for v, k in enumerate(e):
-            if k:
-                col = col * var(v) ** k
-        A[:, j] = col
-    norms = np.linalg.norm(A, axis=0)
+    # a high power may overflow; its column norm is then not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, e in enumerate(basis):
+            col = np.ones(m, dtype=np.complex128)
+            for v, k in enumerate(e):
+                if k:
+                    col = col * var(v) ** k
+            A[:, j] = col
+        norms = np.linalg.norm(A, axis=0)
+    huge = np.flatnonzero(~np.isfinite(norms))
+    if huge.size:
+        label = _monomial_label(basis[huge[0]], len(trajs))
+        raise ConstraintError(f"basis monomial {label!r} overflows on the samples")
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         label = _monomial_label(basis[zero[0]], len(trajs))

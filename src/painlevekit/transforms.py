@@ -335,7 +335,10 @@ def p2_to_s2_map(table: SymbolTable) -> VariableMap:
 
 
 def _sqrt_symbol(table: SymbolTable, name: str, radicand: FieldElem) -> FieldElem:
-    if name in table.names:
+    # reuse the symbol only when it already stands for this square root;
+    # otherwise declare_radical refuses a taken name or a root already in
+    # the field with a RadicalDeclarationError
+    if name in table.names and table.relation(name) == radicand:
         return table.sym(name)
     return table.declare_radical(name, radicand)
 
@@ -356,7 +359,9 @@ def p3prime_scaling_map(table: SymbolTable, relation: str = "printed") -> Variab
       mu^2*delta/lambda^2).
 
     The table must already hold gamma and delta (for the first two) and
-    is extended with the scale symbols.
+    is extended with the scale symbols.  For those two, a scale symbol
+    already on the table is reused only when its relation is the one
+    asked for; otherwise RadicalDeclarationError is raised.
     """
     relations = []
     if relation == "general":

@@ -423,6 +423,41 @@ def test_reduce_p4_radical_branch():
     assert classify("S4", red.params).verdict == STRONGLY_MINIMAL
 
 
+def test_reduce_reuses_a_radical_already_on_the_table():
+    # -beta/2 = 2 has the root s the caller declared: no second symbol
+    tab = SymbolTable()
+    s = tab.declare_radical("s", 2)
+    red = reduce_parameters("P4", {"alpha": 1, "beta": -4}, table=tab)
+    assert red.params["v1"] == -s / 2
+    assert red.params["v2"] == s / 2
+    assert tab.names == ("t", "s")
+
+
+def test_reduce_reuses_radicals_across_calls_on_one_table():
+    # the second call finds s1 = sqrt(2), s2 = sqrt(6) on the table and
+    # takes sqrt(3) = s1*s2/2 and sqrt(6) = s2 from them
+    tab = SymbolTable()
+    first = reduce_parameters("P6", {"alpha": 1, "beta": -3, "gamma": 2,
+                                     "delta": 0}, table=tab)
+    names = tab.names
+    second = reduce_parameters("P6", {"alpha": 1, "beta": -3, "gamma": F(3, 2),
+                                      "delta": F(5, 2)}, table=tab)
+    assert tab.names == names
+    s1, s2 = tab.sym("s1"), tab.sym("s2")
+    assert second.params["a3"] == (s2 + s1 * s2 / 2) / 2
+    assert second.params["a1"] == (1 - s2 + s1) / 2
+    assert first.params["a1"] != second.params["a1"]
+
+
+def test_reduce_reuses_a_symbolic_radical_on_the_table():
+    tab = SymbolTable()
+    g = tab.declare_param("g")
+    s = tab.declare_radical("s", 2 * g)
+    red = reduce_parameters("P4", {"alpha": 1, "beta": -16 * g}, table=tab)
+    assert red.params["v2"] == s
+    assert tab.names == ("t", "g", "s")
+
+
 def test_reduce_identity_for_natural_forms():
     red = reduce_parameters("S2", {"alpha": F(1, 3)})
     assert red.relations == ()

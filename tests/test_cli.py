@@ -126,6 +126,16 @@ def test_nan_threshold_message_quotes_the_input(capsys):
     assert "ConstraintError" in err and "threshold nan" in err
 
 
+def test_overflowing_basis_monomial_is_refused(capsys):
+    # 2^2000 overflows a double: the column used to reach the SVD as inf
+    code, out, err = _run_strict(capsys, "probe", "--family", "S2",
+                                 "--param", "alpha=1/3", "--initial", "1,0.3,0.1",
+                                 "--path", "1,2", "--basis", "t^2000,1")
+    assert code == 1 and out == ""
+    assert "ConstraintError" in err and "'t^2000'" in err
+    assert "Traceback" not in err
+
+
 def test_huge_exponent_is_refused(capsys):
     code, out, err = _run_strict(capsys, "verify-invariant", "--family", "S2",
                                  "--param", "alpha=1/2", "--poly", "x^99999999")

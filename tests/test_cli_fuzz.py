@@ -76,7 +76,7 @@ OPTIONAL = {
               "--threshold": (("1e-6", "1e-3", "0.5"), ("0",)),
               "--basis": (("1,t,y,y^2,y'", "1,y", "1*y*y'", "dy"),
                           ("1,z^2", "y^x", "1,y^99999999999999999999",
-                           "1,y^2000", "1,,y", "y^-1"))},
+                           "1,y^2000", "1,t^2000", "1,,y", "y^-1"))},
 }
 
 

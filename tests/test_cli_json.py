@@ -5,7 +5,7 @@ exit code and the text `cli.main` prints under ``--json``.  The commands are
 the README examples, the seven kinds of the ``cli`` benchmark workload
 (``perfbench/workloads.py``) at fixed parameters, and the other subcommands:
 drift, first-integrals, instantiate, hamiltonian-check and tangent-lift,
-plus a parameter reduction, a negative verdict of each kind, the identity
+plus parameter reductions, a negative verdict of each kind, the identity
 map on P6 and a domain error.  Regenerate it with
 
     PYTHONPATH=src python tests/test_cli_json.py > tests/data/cli_json.txt
@@ -84,6 +84,13 @@ CASES = {
                           "--path", "0,0.8", "--tol", "1e-10", "--degree", "1"),
     "domain-error": ("darboux", "--family", "S2", "--param", "alpha=sym:a",
                      "--deg-xy", "1", "--deg-t", "0"),
+    # parameter reductions that declare radicals: one new root, and a root
+    # that is a rational multiple of a product of earlier ones (s3 = s1*s2/2)
+    "classify-reduced-radical": ("classify", "--family", "P4",
+                                 "--param", "alpha=1/3", "--param", "beta=-1"),
+    "classify-reduced-product-root": (
+        "classify", "--family", "P6", "--param", "alpha=1", "--param", "beta=-3",
+        "--param", "gamma=3/2", "--param", "delta=5/2"),
 }
 
 

@@ -310,6 +310,25 @@ def test_multiplicatively_dependent_radicands_rejected():
         tab.declare_radical("r8", 8)
 
 
+def test_root_of_finds_roots_already_in_the_field():
+    tab = SymbolTable()
+    a = tab.declare_param("a")
+    r6 = tab.declare_radical("r6", 6)
+    r3 = tab.declare_radical("r3", 3)
+    s = tab.declare_radical("s", 2 * a)
+    assert tab.root_of(Fraction(9, 4)) == Fraction(3, 2)
+    assert tab.root_of(0) == 0
+    assert tab.root_of(8) == 2 * r6 / r3
+    assert tab.root_of(Fraction(-2, 3)) is None
+    assert tab.root_of(5) is None
+    assert tab.root_of(8 * a) == 2 * s
+    assert tab.root_of(-2 * a) is None
+    assert tab.root_of(3 * a) is None
+    for q in (Fraction(9, 4), 8, Fraction(50, 3)):
+        root = tab.root_of(q)
+        assert root * root == q
+
+
 def test_sign_tracked_in_dependence():
     tab = SymbolTable()
     tab.declare_radical("i", -1)

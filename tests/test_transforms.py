@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from painlevekit import catalog, transforms
-from painlevekit.errors import ConstraintError, MapInverseError
+from painlevekit.errors import (ConstraintError, MapInverseError,
+                                RadicalDeclarationError)
 from painlevekit.field import PhasePoly, PhaseRational, SymbolTable, parse
 from painlevekit.transforms import (CONVENTION_PLUS, VariableMap, compose,
                                     hamiltonian_check, identity_point_map,
@@ -219,6 +220,38 @@ def test_scaling_unknown_relation_choice():
     tab.declare_param("delta")
     with pytest.raises(ConstraintError, match="relation choice"):
         p3prime_scaling_map(tab, "folklore")
+
+
+def _greek_table():
+    tab = SymbolTable()
+    for n in ("alpha", "beta", "gamma", "delta"):
+        tab.declare_param(n)
+    return tab
+
+
+def test_scaling_map_reuses_scale_symbols_with_the_same_relations():
+    tab = _greek_table()
+    first = p3prime_scaling_map(tab, "corrected")
+    names = tab.names
+    second = p3prime_scaling_map(tab, "corrected")
+    assert tab.names == names
+    assert second.relations == first.relations
+
+
+def test_scaling_map_refuses_a_scale_symbol_with_another_relation():
+    # mu^2 = 1/(gamma*delta) on the table cannot serve as
+    # mu^2 = -16/(gamma*delta)
+    tab = _greek_table()
+    p3prime_scaling_map(tab, "printed")
+    with pytest.raises(RadicalDeclarationError, match="'mu'"):
+        p3prime_scaling_map(tab, "corrected")
+
+
+def test_scaling_map_refuses_a_parameter_named_mu():
+    tab = _greek_table()
+    tab.declare_param("mu")
+    with pytest.raises(RadicalDeclarationError, match="'mu'"):
+        p3prime_scaling_map(tab, "corrected")
 
 
 def test_p3_to_p3prime_halving():
