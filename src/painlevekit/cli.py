@@ -143,13 +143,17 @@ def _parse_params(pairs, table: SymbolTable) -> dict:
     return out
 
 
-def _checked_params(family: str, pairs) -> tuple:
-    table = SymbolTable()
-    params = _parse_params(pairs, table)
+def _check_param_names(family: str, params: dict):
     try:
         catalog.parameter_names(family, params)
     except ConstraintError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _checked_params(family: str, pairs) -> tuple:
+    table = SymbolTable()
+    params = _parse_params(pairs, table)
+    _check_param_names(family, params)
     return table, params
 
 
@@ -365,29 +369,20 @@ def _transform_setup(ns):
     if name == "identity":
         if not ns.family:
             raise _UsageError("--map identity needs --family")
-        try:
-            catalog.parameter_names(ns.family, params)
-        except ConstraintError as exc:
-            raise _UsageError(str(exc)) from None
+        _check_param_names(ns.family, params)
         inst = catalog.instantiate(ns.family, params, table=table)
         vmap = (transforms.identity_point_map(table) if inst.system is not None
                 else transforms.identity_scalar_map(table))
         return inst, vmap, inst
 
-    def shaped(family):
-        try:
-            catalog.parameter_names(family, params)
-        except ConstraintError as exc:
-            raise _UsageError(str(exc)) from None
-
     if name == "p2-to-s2":
-        shaped("P2")
+        _check_param_names("P2", params)
         src = catalog.instantiate("P2", params, table=table)
         tgt = catalog.instantiate("S2", params, table=table)
         return src, transforms.p2_to_s2_map(table), tgt
 
     if name.startswith("p3prime-scaling"):
-        shaped("P3prime")
+        _check_param_names("P3prime", params)
         relation = {"p3prime-scaling": "printed",
                     "p3prime-scaling-corrected": "corrected",
                     "p3prime-scaling-general": "general"}[name]
@@ -415,7 +410,7 @@ def _transform_setup(ns):
         return src, vmap, tgt
 
     # p3-to-p3prime and its halved-time variant
-    shaped("P3")
+    _check_param_names("P3", params)
     alt = name.endswith("-alt")
     src = catalog.instantiate("P3", params, table=table)
     tgt = catalog.instantiate("P3prime", params, table=table)

@@ -43,6 +43,7 @@ from .field import (
     SymbolTable,
     as_elem,
     as_phase,
+    common_denominator,
     exact_divide,
 )
 
@@ -182,16 +183,8 @@ def clear_denominators(D: DVectorField):
     1 when components are already polynomial in t.
     """
     table = D.table
-    from .field import _pconst, _pdiv_exact, _pgcd, _pmul
-
-    n = len(table)
-    common = _pconst(1)
-    for comp in D.components():
-        for coef in comp.terms.values():
-            den = coef.den
-            g = _pgcd(common, den, n)
-            common = _pdiv_exact(_pmul(common, den), g, n)
-    mult = FieldElem(table, common, _pconst(1))
+    mult = common_denominator(
+        table, (coef for comp in D.components() for coef in comp.terms.values()))
     if mult == table.one():
         return D, table.one()
     return rescale(D, mult), mult
@@ -232,7 +225,7 @@ def _require_rational_in_t(D: DVectorField):
             if any(i != 0 for i in used):
                 raise NonNumericError(
                     "search requires numeric parameters; instantiate with rationals")
-            if any(e for e in coef.den if e):
+            if coef.t_coefficients() is None:
                 raise NotDivisibleError(
                     "components have denominators in t; clear them with rescale "
                     "(certificates transport)")
@@ -278,12 +271,11 @@ def _poly_to_rows(P: PhasePoly) -> dict:
     """Decompose into {(i, j, k): Fraction} over x^i y^j t^k monomials."""
     out = {}
     for e, c in P.terms.items():
-        if any(ee for ee in c.den if ee):
+        coeffs = c.t_coefficients()
+        if coeffs is None:
             raise NotDivisibleError("coefficient not polynomial in t")
-        den = c.den.get((), Fraction(1))
-        for te, f in c.num.items():
-            k = te[0] if te else 0
-            out[(e[0], e[1], k)] = f / den
+        for k, f in coeffs.items():
+            out[(e[0], e[1], k)] = f
     return out
 
 
@@ -293,17 +285,9 @@ def _normalize_found(P: PhasePoly) -> PhasePoly:
     Only used on search results, whose coefficients are polynomial in t;
     plain monic() would collapse pure-t polynomials like the fiber t.
     """
-    best = None
-    best_coef = None
-    for e, c in P.terms.items():
-        den = c.den.get((), Fraction(1))
-        for te, f in c.num.items():
-            k = te[0] if te else 0
-            key = (e[0] + e[1] + k, (e[0], e[1], k))
-            if best is None or key > best:
-                best = key
-                best_coef = f / den
-    return P.scale(P.table.const(1 / best_coef))
+    rows = _poly_to_rows(P)
+    lead = max(rows, key=lambda r: (sum(r), r))
+    return P.scale(P.table.const(1 / rows[lead]))
 
 
 def _fraction_kernel(rows: list, ncols: int) -> list:

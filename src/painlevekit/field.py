@@ -7,7 +7,10 @@ multiple of a product of declared radicals); declare_radical refuses a
 radicand that has one, and every module that takes square roots asks the
 table rather than deciding for itself.  Values are represented
 as reduced fractions of sparse multivariate polynomials with Fraction
-coefficients.  Canonical form:
+coefficients.  The representation is private to this module: other
+modules read coefficients through FieldElem.t_coefficients,
+FieldElem.complex_t_coefficients and common_denominator, so a change of
+format touches this file alone.  Canonical form:
 
 * graded-lexicographic monomial order on the table's symbol order,
 * every radical symbol appears with exponent <= 1 (squares rewritten
@@ -15,8 +18,9 @@ coefficients.  Canonical form:
 * the denominator is free of radical symbols (conjugate rationalization),
 * gcd(numerator, denominator) = 1 and the denominator's leading
   coefficient is 1,
-* the terms of both dicts are listed by descending grlex (numeric
-  evaluation sums them in this order).
+* the terms of both dicts are listed by descending grlex (eval_complex
+  and complex_t_coefficients sum them in this order, which fixes the
+  bits of every numeric value built from them).
 
 Canonicalization skips the work that cannot change this form:
 
@@ -61,6 +65,7 @@ from typing import Optional, Union
 from .errors import (
     DegenerateRadicalError,
     DivisionByZeroError,
+    NonNumericError,
     NotDivisibleError,
     ParseError,
     RadicalDeclarationError,
@@ -479,8 +484,8 @@ class SymbolTable:
         with a nonzero derivative (radicals must be differential constants),
         or already has a square root in the field (root_of is not None):
         a rational square, a rational radicand that is a square times a
-        product of earlier rational radicands, or a radicand that is a
-        rational square times an earlier one.
+        product of earlier rational radicands, or a radicand that is an
+        earlier one times such a rational.
         """
         self._check_name(name)
         if isinstance(radicand, str):
@@ -496,9 +501,10 @@ class SymbolTable:
         root = self.root_of(r)
         if root is not None:
             if q is None:
-                (j,) = root.symbols_used(transitive=False)
+                names = [self._names[j] for j in sorted(root.symbols_used(False))]
+                used = names[0] if len(names) == 1 else "(" + "*".join(names) + ")"
                 raise RadicalDeclarationError(
-                    f"radicand duplicates {self._names[j]}^2 up to a square rational")
+                    f"radicand duplicates {used}^2 up to a square rational")
             if root.as_fraction() is not None:
                 raise RadicalDeclarationError(
                     f"radicand {q} is a perfect square; declare the rational root instead")
@@ -523,8 +529,10 @@ class SymbolTable:
         product of the classes of declared rational radicands r_i: then
         prod s_i * sqrt(q / prod r_i), the second factor rational (0 has 0).
         Any other r has s_j * sqrt(r / r_j) for the first radical s_j whose
-        ratio r / r_j is a positive rational square.  Other products of
-        several radicals (2*a with sqrt(2) and sqrt(a) declared) are missed.
+        ratio r / r_j is rational with a root of that first kind, so a
+        product of one symbolic radical with rational ones is found (2*a
+        with sqrt(2) and sqrt(a) declared).  A product of several symbolic
+        radicands (a*b with sqrt(a) and sqrt(b) declared) is missed.
         """
         r = as_elem(self, radicand)
         q = r.as_fraction()
@@ -533,9 +541,11 @@ class SymbolTable:
             return None if cls else acc_root * _rat_sqrt(q / acc_square)
         for j, rj in self._relations.items():
             ratio = (r / rj).as_fraction()
-            c = None if ratio is None else _rat_sqrt(ratio)
-            if c is not None:
-                return self.sym(self._names[j]) * c
+            if ratio is None:
+                continue
+            cls, acc_root, acc_square = self._reduce_square_class(ratio)
+            if not cls:
+                return self.sym(self._names[j]) * acc_root * _rat_sqrt(ratio / acc_square)
         return None
 
     def _reduce_square_class(self, q: Fraction) -> tuple:
@@ -767,6 +777,38 @@ class FieldElem:
             raise DivisionByZeroError("substitution made the denominator vanish")
         return num / den
 
+    def t_coefficients(self) -> Optional[dict]:
+        """The value as a polynomial in t alone, {degree: coefficient}, or
+        None when it has a denominator in t or uses any other symbol."""
+        if set(self.den) != {()} or any(len(e) > 1 for e in self.num):
+            return None  # a constant denominator is 1, being monic
+        return {(e[0] if e else 0): c for e, c in self.num.items()}
+
+    def complex_t_coefficients(self, values: dict) -> tuple:
+        """(num, den): dense ascending complex coefficients in t of the
+        numerator and the denominator, with symbol i set to values[i].
+
+        Each coefficient sums its terms from 0j in canonical order.  A
+        symbol after t without a value, such as a transcendental
+        parameter, raises NonNumericError.
+        """
+        def dense(p: dict) -> list:
+            out = [0j] * (max((e[0] for e in p if e), default=0) + 1)
+            for e, c in p.items():
+                z = complex(c)
+                for i, k in enumerate(e[1:], 1):
+                    if not k:
+                        continue
+                    if i not in values:
+                        raise NonNumericError(
+                            f"parameter {self.table.names[i]!r} has no numeric value; "
+                            "numerical integration needs rational or radical values")
+                    z *= values[i] ** k
+                out[e[0] if e else 0] += z
+            return out
+
+        return dense(self.num), dense(self.den)
+
     def eval_complex(self, assign: dict) -> complex:
         """Numeric evaluation; assign maps symbol names to complex values."""
         idx = {self.table.index(k): complex(v) for k, v in assign.items()}
@@ -794,6 +836,15 @@ class FieldElem:
 
     def __str__(self):
         return _elem_str(self.table, self.num, self.den)
+
+
+def common_denominator(table: SymbolTable, elems) -> FieldElem:
+    """The monic lcm of the denominators of elems (1 for none)."""
+    n = len(table)
+    common = _pconst(1)
+    for z in elems:
+        common = _pdiv_exact(_pmul(common, z.den), _pgcd(common, z.den, n), n)
+    return FieldElem(table, common, _pconst(1))
 
 
 def _poly_d(table: SymbolTable, p: dict) -> FieldElem:

@@ -217,61 +217,10 @@ def _radical_values(table) -> dict:
     """Numeric value (principal square root) for every radical symbol."""
     vals: dict = {}
     for i in table.radical_indices():
-        name = table.names[i]
-        rad = table.relation(name)
-        vals[i] = cmath.sqrt(_elem_complex(rad, vals))
+        # radicands are differential constants, so t never shows up here
+        num, den = table.relation(table.names[i]).complex_t_coefficients(vals)
+        vals[i] = cmath.sqrt(num[0] / den[0])
     return vals
-
-
-def _substitute_radicals(c, e, table, radvals) -> complex:
-    """complex(c) times radvals[i]**e[i] over the symbols after t (e[0]).
-
-    A symbol without a numeric value, such as a transcendental parameter,
-    raises NonNumericError.
-    """
-    z = complex(c)
-    for i in range(1, len(e)):
-        k = e[i]
-        if not k:
-            continue
-        v = radvals.get(i)
-        if v is None:
-            raise NonNumericError(
-                f"parameter {table.names[i]!r} has no numeric value; "
-                "numerical integration needs rational or radical values")
-        z *= v ** k
-    return z
-
-
-def _elem_complex(elem, radvals) -> complex:
-    # radicands are differential constants, so t never shows up here
-    table = elem.table
-
-    def ev(p):
-        s = 0j
-        for e, c in p.items():
-            s += _substitute_radicals(c, e, table, radvals)
-        return s
-
-    return ev(elem.num) / ev(elem.den)
-
-
-def _numeric_tpoly(pdict, table, radvals) -> np.ndarray:
-    """Dense ascending complex coefficients of a sparse poly in t alone.
-
-    Radical symbols are substituted numerically; a surviving
-    transcendental parameter raises NonNumericError.
-    """
-    out: dict = {}
-    for e, c in pdict.items():
-        z = _substitute_radicals(c, e, table, radvals)
-        dt = e[0] if len(e) > 0 else 0
-        out[dt] = out.get(dt, 0j) + z
-    deg = max(out) if out else 0
-    arr = np.zeros(deg + 1, dtype=np.complex128)
-    for dt, z in out.items():
-        arr[dt] = z
-    return arr
 
 
 def _compile_component(comp: PhasePoly, radvals):
@@ -280,20 +229,15 @@ def _compile_component(comp: PhasePoly, radvals):
     Exponent columns are (x, y, t); coefficient denominators must have
     been cleared beforehand.
     """
-    from .field import _pconst
-
-    table = comp.table
     rows: dict = {}
     for e, c in comp.terms.items():
         if e[2] or e[3]:
             raise ConstraintError("system components cannot involve u1 or u2")
-        if c.den != _pconst(1):
+        num, den = c.complex_t_coefficients(radvals)
+        if den != [1]:
             raise ConstraintError("coefficient denominator survived clearing")
-        for pe, fr in c.num.items():
-            z = _substitute_radicals(fr, pe, table, radvals)
-            dt = pe[0] if len(pe) > 0 else 0
-            key = (e[0], e[1], dt)
-            rows[key] = rows.get(key, 0j) + z
+        for dt, z in enumerate(num):
+            rows[(e[0], e[1], dt)] = z
     keys = sorted(k for k, z in rows.items() if z != 0)
     ex = np.zeros((len(keys), 3), dtype=np.int64)
     co = np.zeros(len(keys), dtype=np.complex128)
@@ -316,7 +260,7 @@ def compile_system(instance):
 
     cleared, mult = clear_denominators(instance.derivation)
     radvals = _radical_values(instance.table)
-    den = _numeric_tpoly(mult.num, instance.table, radvals)
+    den = np.array(mult.complex_t_coefficients(radvals)[0], dtype=np.complex128)
     fex, fco = _compile_component(cleared.f, radvals)
     gex, gco = _compile_component(cleared.g, radvals)
     return fex, fco, den, gex, gco, den
@@ -444,17 +388,17 @@ def invariant_drift(traj: Trajectory, P) -> float:
 
 def _phase_values(q: PhasePoly, radvals, ts, ys, xs) -> np.ndarray:
     """q at every sample (t_i, y_i, x_i), evaluated over the arrays."""
-    table = q.table
 
-    def at_ts(pdict):
+    def at_ts(coeffs):
         v = np.zeros_like(ts)
-        for c in _numeric_tpoly(pdict, table, radvals)[::-1]:
+        for c in reversed(coeffs):
             v = v * ts + c
         return v
 
     out = np.zeros_like(ts)
     for e, c in q.terms.items():
-        out = out + at_ts(c.num) / at_ts(c.den) * xs ** e[0] * ys ** e[1]
+        num, den = c.complex_t_coefficients(radvals)
+        out = out + at_ts(num) / at_ts(den) * xs ** e[0] * ys ** e[1]
     return out
 
 

@@ -18,8 +18,9 @@ second-order right-hand sides and dependent-map expressions.
 
 from typing import Optional
 
-from .errors import ConstraintError, MapInverseError
-from .field import FieldElem, PhasePoly, PhaseRational, SymbolTable, as_elem, as_phase
+from .errors import ConstraintError, MapInverseError, RadicalDeclarationError
+from .field import (KIND_PARAM, FieldElem, PhasePoly, PhaseRational, SymbolTable, as_elem,
+                    as_phase)
 
 MATCH = "Match"
 MISMATCH = "Mismatch"
@@ -359,14 +360,21 @@ def p3prime_scaling_map(table: SymbolTable, relation: str = "printed") -> Variab
       mu^2*delta/lambda^2).
 
     The table must already hold gamma and delta (for the first two) and
-    is extended with the scale symbols.  For those two, a scale symbol
-    already on the table is reused only when its relation is the one
-    asked for; otherwise RadicalDeclarationError is raised.
+    is extended with the scale symbols.  A scale symbol already on the
+    table is reused only when it is what the choice asks for: a radical
+    with that relation for the first two, a free parameter for "general";
+    otherwise RadicalDeclarationError is raised.
     """
     relations = []
     if relation == "general":
-        lam = table.sym("lam") if "lam" in table.names else table.declare_param("lam")
-        mu = table.sym("mu") if "mu" in table.names else table.declare_param("mu")
+        # a radical lam or mu would hold a relation this map does not report
+        for name in ("lam", "mu"):
+            if name in table.names and table.kind(name) != KIND_PARAM:
+                raise RadicalDeclarationError(
+                    f"{name!r} is already declared as a {table.kind(name)}, "
+                    "not a free parameter")
+        lam, mu = (table.sym(n) if n in table.names else table.declare_param(n)
+                   for n in ("lam", "mu"))
     elif relation in ("printed", "corrected"):
         gamma = table.sym("gamma")
         delta = table.sym("delta")

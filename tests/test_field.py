@@ -1,5 +1,7 @@
 """Exact-arithmetic layer: canonical forms, radicals, parsing, membership."""
 
+import ast
+import pathlib
 import threading
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from painlevekit import field
 from painlevekit.errors import (
     DivisionByZeroError,
+    NonNumericError,
     NotDivisibleError,
     ParseError,
     RadicalDeclarationError,
@@ -236,6 +239,44 @@ def test_eval_complex_matches_exact():
         assert abs(approx - complex(exact)) < 1e-12
 
 
+def test_t_coefficients():
+    tab = SymbolTable()
+    a = tab.declare_param("a")
+    r2 = tab.declare_radical("r2", 2)
+    t = tab.t()
+    assert (3 * t ** 2 - Fraction(1, 2)).t_coefficients() == {2: 3, 0: Fraction(-1, 2)}
+    assert tab.zero().t_coefficients() == {}
+    assert tab.const(5).t_coefficients() == {0: 5}
+    for z in (1 / t, a, r2, t + a, (t + 1) / 2 + r2):
+        assert z.t_coefficients() is None
+
+
+def test_complex_t_coefficients():
+    tab = SymbolTable()
+    a = tab.declare_param("a")
+    r2 = tab.declare_radical("r2", 2)
+    t = tab.t()
+    values = {tab.index("r2"): 2 ** 0.5}
+    num, den = ((t ** 2 * r2 + 3) / (2 * t + 1)).complex_t_coefficients(values)
+    assert den == [0.5, 1]
+    assert num == [1.5, 0, complex(2 ** 0.5 / 2)]
+    assert tab.zero().complex_t_coefficients({}) == ([0j], [1])
+    with pytest.raises(NonNumericError, match="parameter 'a' has no numeric value"):
+        (t + a * r2).complex_t_coefficients(values)
+
+
+def test_no_module_but_field_imports_its_private_names():
+    # the sparse-dict representation stays behind field's public methods
+    package = pathlib.Path(field.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("field", "painlevekit.field"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from field"
+
+
 # ---------------------------------------------------------------------------
 # radicals
 
@@ -323,10 +364,25 @@ def test_root_of_finds_roots_already_in_the_field():
     assert tab.root_of(5) is None
     assert tab.root_of(8 * a) == 2 * s
     assert tab.root_of(-2 * a) is None
-    assert tab.root_of(3 * a) is None
+    # 3a = (6/4) * 2a: a product of one symbolic radical and rational ones
+    assert tab.root_of(3 * a) == r6 * s / 2
+    assert tab.root_of(-3 * a) is None
     for q in (Fraction(9, 4), 8, Fraction(50, 3)):
         root = tab.root_of(q)
         assert root * root == q
+
+
+def test_product_radicands_are_roots_already_in_the_field():
+    # u^2 = 2a would make x = u - r2*sa a zero divisor: x*(u + r2*sa) = 0
+    tab = SymbolTable()
+    a = tab.declare_param("a")
+    r2 = tab.declare_radical("r2", 2)
+    sa = tab.declare_radical("sa", a)
+    assert tab.root_of(2 * a) == r2 * sa
+    with pytest.raises(RadicalDeclarationError, match=r"\(r2\*sa\)\^2"):
+        tab.declare_radical("u", 2 * a)
+    with pytest.raises(RadicalDeclarationError, match="duplicates sa"):
+        tab.declare_radical("v", 9 * a)
 
 
 def test_sign_tracked_in_dependence():

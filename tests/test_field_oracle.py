@@ -2,7 +2,8 @@
 
 The property tests draw random elements of Q(t, a, b), and of the same
 field extended by one radical s with s^2 = 2/a, and compare +, -, *, /,
-d(), _pgcd, exact_divide and coeff_d with sympy's cancel, gcd and diff,
+d(), _pgcd, exact_divide, coeff_d and common_denominator with sympy's
+cancel, gcd, diff and lcm, complex_t_coefficients with eval_complex,
 and check that the mod-p coprimality certificate _coprime_mod_p answers
 True only for operands whose sympy gcd is 1.
 Radical results are compared modulo the relation a*s^2 - 2.  Besides the
@@ -22,7 +23,9 @@ every family with symbolic parameters.  Regenerate it with
 only when a change is meant to alter canonical forms.
 """
 
+import cmath
 import contextlib
+import functools
 import pathlib
 from fractions import Fraction as F
 
@@ -206,6 +209,35 @@ def test_pgcd_matches_sympy(f, g, h):
         return
     lc = sympy.Poly(ref, *gens).LC(order="grlex")
     assert sympy.expand(_sym_poly(ours, gens) - ref / lc) == 0
+
+
+@ORACLE
+@given(TABLES.flatmap(lambda tab: st.tuples(st.lists(_elems(tab), max_size=3), st.just(tab))))
+def test_common_denominator_matches_sympy_lcm(case):
+    elems, tab = case
+    gens = GENS[id(tab)]
+    ref = functools.reduce(sympy.lcm, (_sym_poly(z.den, gens) for z in elems), sympy.Integer(1))
+    ref = ref / sympy.Poly(ref, *gens).LC(order="grlex")
+    _assert_canonical(field.common_denominator(tab, elems), ref)
+
+
+# symbol values with s^2 = 2/a, and the points t is evaluated at
+VALUES = {1: 0.7 - 0.3j, 2: -1.2 + 0.4j}
+VALUES[3] = cmath.sqrt(2 / VALUES[1])
+T_POINTS = (0.3 + 0.8j, -1.1 + 0.2j, 2.5)
+
+
+@ORACLE
+@given(TABLES.flatmap(_elems))
+def test_complex_t_coefficients_match_eval_complex(z):
+    names = z.table.names
+    values = {i: v for i, v in VALUES.items() if i < len(names)}
+    num, den = z.complex_t_coefficients(values)
+    for tv in T_POINTS:
+        got = sum(c * tv ** k for k, c in enumerate(num)) / \
+            sum(c * tv ** k for k, c in enumerate(den))
+        want = z.eval_complex(dict({names[i]: v for i, v in values.items()}, t=tv))
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def _sym_phase(P: PhasePoly):

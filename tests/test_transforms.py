@@ -254,6 +254,24 @@ def test_scaling_map_refuses_a_parameter_named_mu():
         p3prime_scaling_map(tab, "corrected")
 
 
+def test_general_scaling_map_refuses_radical_scale_symbols():
+    # after "printed", mu^2 = 1/(gamma*delta) holds on the table, so a
+    # "general" map through that mu would hide a relation
+    tab = _greek_table()
+    p3prime_scaling_map(tab, "printed")
+    with pytest.raises(RadicalDeclarationError, match="'lam'"):
+        p3prime_scaling_map(tab, "general")
+
+
+def test_general_scaling_map_reuses_its_parameters():
+    tab = _greek_table()
+    first = p3prime_scaling_map(tab, "general")
+    names = tab.names
+    second = p3prime_scaling_map(tab, "general")
+    assert tab.names == names
+    assert second.relations == first.relations == ()
+
+
 def test_p3_to_p3prime_halving():
     tab = SymbolTable()
     ps = {n: tab.declare_param(n) for n in ("alpha", "beta", "gamma", "delta")}
