@@ -442,6 +442,10 @@ STATUS_ABORTED = 2
 # steps a dopri5_path call takes at most, so it returns at most one more
 # sample
 MAX_STEPS = 200_000
+# a step size below HFLOOR ends the run: at a pole when |y| or |x| is past
+# BLOWUP or the state is not finite, else as an abort
+HFLOOR = 1e-12
+BLOWUP = 1e8
 
 
 def _fdiv(a, b):
@@ -498,22 +502,22 @@ def _denominator_source(name, de):
     return src
 
 
-def compile_rhs(fex, fco, fde, gex, gco, gde):
+def compile_rhs(fex, fco, gex, gco, den):
     """The system as one generated function (x, y, t) -> (y', x') on
     Python complex scalars.
 
-    Each component is N(x, y, t)/D(t): N by integer exponent triples
-    (x, y, t) and complex coefficients, D by its dense coefficients in t,
-    ascending.  The generated code computes each power of x, y and t once,
-    as the chained product x*x*...*x, sums the terms of N in their given
-    order starting from 0j, and evaluates D by Horner from 0j.
-    Coefficients are names bound in the function's namespace, never text
-    in its source.  A denominator that is the constant 1 is not divided
-    by: a numerator summed from 0j has no -0 part, so numpy's division by
-    1 would return it unchanged.  Any other D is evaluated once, also when
-    both components share it, and each numerator is divided by it with
-    numpy's complex128 formula (``_cdiv``), which Python's own complex
-    ``/`` does not reproduce.
+    The components are N_f(x, y, t)/D(t) and N_g(x, y, t)/D(t): each N by
+    integer exponent triples (x, y, t) and complex coefficients, the shared
+    D by its dense coefficients in t, ascending.  The generated code
+    computes each power of x, y and t once, as the chained product
+    x*x*...*x, sums the terms of each N in their given order starting from
+    0j, and evaluates D once by Horner from 0j.  Coefficients are names
+    bound in the function's namespace, never text in its source.  A
+    denominator that is the constant 1 is not divided by: a numerator
+    summed from 0j has no -0 part, so numpy's division by 1 would return it
+    unchanged.  Any other D divides each numerator with numpy's complex128
+    formula (``_cdiv``), which Python's own complex ``/`` does not
+    reproduce.
     """
     ns = {"_cdiv": _cdiv}
     powers = {"x": 0, "y": 0, "t": 0}
@@ -530,26 +534,20 @@ def compile_rhs(fex, fco, fde, gex, gco, gde):
             lines.append(f"    {var}{e} = {prev} * {var}")
     lines.append(f"    nf = {nums[0]}")
     lines.append(f"    ng = {nums[1]}")
-    fdl, gdl = (np.asarray(de, np.complex128).tolist() for de in (fde, gde))
-    out = []
-    for num, name, de in (("nf", "fd", fdl), ("ng", "gd", gdl)):
-        if de == [1]:
-            out.append(num)
-            continue
-        if name == "gd" and de == fdl:
-            name = "fd"   # the shared denominator, already evaluated
-        else:
-            for i, c in enumerate(de):
-                ns[f"{name}{i}"] = c
-            lines.append(f"    {name} = {_denominator_source(name, de)}")
-        out.append(f"_cdiv({num}, {name})")
-    lines.append(f"    return {out[0]}, {out[1]}")
+    de = np.asarray(den, np.complex128).tolist()
+    if de == [1]:
+        lines.append("    return nf, ng")
+    else:
+        for i, c in enumerate(de):
+            ns[f"d{i}"] = c
+        lines.append(f"    d = {_denominator_source('d', de)}")
+        lines.append("    return _cdiv(nf, d), _cdiv(ng, d)")
     src = "\n".join(lines) + "\n"
     exec(compile(src, "<painlevekit rhs>", "exec"), ns)
     return ns["rhs"]
 
 
-def _dopri5_core(rhs, wps, y0, x0, tol, blowup, hfloor, maxsteps):
+def _dopri5_core(rhs, wps, y0, x0, tol, maxsteps):
     # Python complex and float scalars throughout; the order of every
     # operation is part of the result, which tests/data/trajectories.txt
     # pins bit for bit
@@ -661,8 +659,8 @@ def _dopri5_core(rhs, wps, y0, x0, tol, blowup, hfloor, maxsteps):
                 elif fac > 5.0:
                     fac = 5.0
             h = h * fac
-            if h < hfloor and sigma < seglen:
-                if ay > blowup or ax > blowup or bad:
+            if h < HFLOOR and sigma < seglen:
+                if ay > BLOWUP or ax > BLOWUP or bad:
                     status = STATUS_POLE
                 else:
                     status = STATUS_ABORTED
@@ -670,10 +668,8 @@ def _dopri5_core(rhs, wps, y0, x0, tol, blowup, hfloor, maxsteps):
     return ts, ys, xs, status, t_est
 
 
-def dopri5_path(fex, fco, fde, gex, gco, gde, wps, y0, x0, tol,
-                blowup=1e8, hfloor=1e-12, maxsteps=MAX_STEPS):
+def dopri5_path(fex, fco, gex, gco, den, wps, y0, x0, tol, maxsteps=MAX_STEPS):
     """Integrate along the polyline; returns (t, y, x lists, status, t_est)."""
-    rhs = compile_rhs(fex, fco, fde, gex, gco, gde)
+    rhs = compile_rhs(fex, fco, gex, gco, den)
     wps = np.asarray(wps, np.complex128).tolist()
-    return _dopri5_core(rhs, wps, complex(y0), complex(x0), float(tol),
-                        float(blowup), float(hfloor), int(maxsteps))
+    return _dopri5_core(rhs, wps, complex(y0), complex(x0), float(tol), int(maxsteps))

@@ -8,7 +8,8 @@ nothing is silently repaired.
 
 Family tags: P1..P6 are the second-order equations; S2, S3prime, S4, S5,
 S6 are the polynomial Hamiltonian systems in natural (v or a)
-coordinates.  The classifier operates on natural coordinates only;
+coordinates.  The classifier operates on natural coordinates only, and
+in_natural_coordinates alone decides which parameters those are;
 reduce_parameters converts (alpha, beta, gamma, delta) input, tracking
 the square-root branches the conversion introduces.  Its square roots
 come from SymbolTable.root_of, so a radical already on the table
@@ -477,22 +478,23 @@ def _conditions(family, p):
     raise ConstraintError(f"no classifier conditions for {family}")
 
 
+# the classifier of each family given in its natural coordinates
+_CLASSIFIER = {P1: P1, P2: P2, S2: P2, S3PRIME: S3PRIME, S4: S4, S5: S5, S6: S6}
+
+
 def _classifier_family(family, shape):
-    """Map a family tag (plus parameter shape) to its classifier, or raise."""
-    if family == P1:
-        return P1
-    if family in (P2, S2):
-        return P2
-    if family == S3PRIME or (family == P3PRIME and shape == ("v1", "v2")):
+    """The classifier of a family whose parameters have the given (sorted)
+    names, or None when they are not natural coordinates.  P3prime given
+    by (v1, v2) is in S3prime's."""
+    if family == P3PRIME and shape == ("v1", "v2"):
         return S3PRIME
-    if family == S4:
-        return S4
-    if family == S5:
-        return S5
-    if family == S6:
-        return S6
-    raise ConstraintError(
-        f"classify needs natural coordinates; apply reduce_parameters to {family} first")
+    return _CLASSIFIER.get(family)
+
+
+def in_natural_coordinates(family, params) -> bool:
+    """Whether classify takes params of family as they are, with no
+    reduce_parameters first."""
+    return _classifier_family(family, tuple(sorted(params))) is not None
 
 
 _CLASSIFIER_CITATION = {P1: P1, P2: P2, S3PRIME: P3PRIME, S4: P4, S5: P5, S6: P6}
@@ -509,6 +511,9 @@ def classify(family, params, *, table=None) -> ClassificationResult:
         raise ConstraintError(f"unknown family {family!r}")
     table, p = _coerce_params(family, params, table)
     tag = _classifier_family(family, tuple(sorted(p)))
+    if tag is None:
+        raise ConstraintError(
+            f"classify needs natural coordinates; apply reduce_parameters to {family} first")
     source = CITATIONS[_CLASSIFIER_CITATION[tag]]
     notes = [_NOTE_S5_EXCEPTIONAL] if tag == S5 else []
     if tag == P1:
@@ -603,10 +608,7 @@ def reduce_parameters(family, params, *, table=None) -> ReductionResult:
     if family not in FAMILIES:
         raise ConstraintError(f"unknown family {family!r}")
     table, p = _coerce_params(family, params, table)
-    shape = tuple(sorted(p))
-
-    if family in (P1, P2, S2, S3PRIME, S4, S5, S6) or \
-            (family == P3PRIME and shape == ("v1", "v2")):
+    if in_natural_coordinates(family, p):
         return _identity_reduction(family, p, table)
 
     notes = []

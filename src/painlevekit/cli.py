@@ -32,8 +32,6 @@ from .errors import ConstraintError, DomainError
 from .field import SymbolTable, parse, parse_poly
 from .transforms import CONVENTION_MINUS, CONVENTION_PLUS
 
-_NATURAL = ("P1", "P2", "S2", "S3prime", "S4", "S5", "S6")
-
 _MAPS = ("identity", "p2-to-s2", "p3prime-scaling", "p3prime-scaling-corrected",
          "p3prime-scaling-general", "p3-to-p3prime", "p3-to-p3prime-alt")
 
@@ -237,9 +235,7 @@ def _print_human(rep) -> None:
 def _cmd_classify(ns):
     table, params = _checked_params(ns.family, ns.param)
     warnings, extra = [], {}
-    natural = ns.family in _NATURAL or (
-        ns.family == "P3prime" and set(params) == {"v1", "v2"})
-    if natural:
+    if catalog.in_natural_coordinates(ns.family, params):
         res = catalog.classify(ns.family, params, table=table)
     else:
         red = catalog.reduce_parameters(ns.family, params, table=table)

@@ -22,10 +22,16 @@ format touches this file alone.  Canonical form:
   and complex_t_coefficients sum them in this order, which fixes the
   bits of every numeric value built from them).
 
+Radicals are cleared in one sweep, last declared first.  A radicand uses
+only symbols declared before its radical, so at radical s, with s^2 = n/d,
+rewriting s^(2k+e) as n^k * d^(m-k) * s^e (numerator and denominator
+scaled by d^m) and then multiplying by the conjugate a - b*s of a
+denominator a + b*s bring back no radical the sweep has passed.
+
 Canonicalization skips the work that cannot change this form:
 
-* operands in which no radical symbol occurs skip the radical passes and
-  the conjugation, which would leave them as they are;
+* operands in which no radical symbol occurs skip the radical sweep,
+  which would leave them as they are;
 * a rational constant denominator c needs no gcd, since gcd(num, c) = 1:
   the numerator is divided by c;
 * a product or quotient of two radical-free canonical elements
@@ -106,10 +112,6 @@ def _exp_get(e: tuple, i: int) -> int:
 
 def _grlex_key(e: tuple, n: int):
     return (sum(e), _pad(e, n))
-
-
-def _pzero() -> dict:
-    return {}
 
 
 def _pconst(c) -> dict:
@@ -671,15 +673,10 @@ class FieldElem:
                 if k:
                     out.add(i)
         if transitive:
-            frontier = [i for i in out if i in self.table._relations]
-            seen = set(frontier)
-            while frontier:
-                i = frontier.pop()
-                for j in self.table._relations[i].symbols_used(False):
-                    out.add(j)
-                    if j in self.table._relations and j not in seen:
-                        seen.add(j)
-                        frontier.append(j)
+            # a radicand uses only earlier symbols: one descending pass
+            for i in reversed(self.table.radical_indices()):
+                if i in out:
+                    out |= self.table._relations[i].symbols_used(False)
         return out
 
     # -- arithmetic ---------------------------------------------------------
@@ -873,42 +870,6 @@ def _elem_subs_poly(table: SymbolTable, p: dict, i: int, v: FieldElem) -> FieldE
 # -- canonicalization -------------------------------------------------------
 
 
-def _radical_pass(table: SymbolTable, p: dict):
-    """One pass of s^(2k+e) -> r^k s^e; returns (num_poly, den_poly)."""
-    rads = table.radical_indices()
-    if not rads or not any(_exp_get(e, i) >= 2 for e in p for i in rads):
-        return p, _pconst(1)
-    acc_n, acc_d = _pzero(), _pconst(1)
-    for e, c in p.items():
-        ee = list(_pad(e, len(table)))
-        tn, td = {_strip(tuple(0 if i in rads else ee[i] for i in range(len(ee)))): c}, _pconst(1)
-        for i in rads:
-            k, rem = divmod(_exp_get(e, i), 2)
-            if rem:
-                tn = _pmul(tn, _pvar(i))
-            if k:
-                r = table._relations[i]
-                for _ in range(k):
-                    tn = _pmul(tn, r.num)
-                    td = _pmul(td, r.den)
-        acc_n = _padd(_pmul(acc_n, td), _pmul(tn, acc_d))
-        acc_d = _pmul(acc_d, td)
-    return acc_n, acc_d
-
-
-def _reduce_radicals(table: SymbolTable, p: dict):
-    """Iterate passes until all radical exponents are <= 1."""
-    num, den = p, _pconst(1)
-    rads = table.radical_indices()
-    while True:
-        if not any(_exp_get(e, i) >= 2 for e in num for i in rads) and \
-           not any(_exp_get(e, i) >= 2 for e in den for i in rads):
-            return num, den
-        n1, d1 = _radical_pass(table, num)
-        n2, d2 = _radical_pass(table, den)
-        num, den = _pmul(n1, d2), _pmul(d1, n2)
-
-
 def _uses_radicals(table: SymbolTable, *polys) -> bool:
     """Whether a radical symbol of the table occurs in any of polys."""
     rads = table.radical_indices()
@@ -941,39 +902,49 @@ def _canonicalize(table: SymbolTable, num: dict, den: dict):
     return num, den
 
 
+def _fold_radical(p: dict, i: int, r: "FieldElem", m: int) -> dict:
+    """p * d^m with each s^(2k+e) rewritten as n^k * d^(m-k) * s^e.
+
+    s is symbol i, with s^2 = r = n/d, and p has degree at most 2m + 1 in s.
+    """
+    parts: dict = {}
+    for e, c in p.items():
+        k, rem = divmod(_exp_get(e, i), 2)
+        if k:
+            e = _strip(e[:i] + (rem,) + e[i + 1:])
+        parts.setdefault(k, {})[e] = c
+    num_pows, den_pows = [_pconst(1)], [_pconst(1)]
+    for _ in range(m):
+        num_pows.append(_pmul(num_pows[-1], r.num))
+        den_pows.append(_pmul(den_pows[-1], r.den))
+    out: dict = {}
+    for k, part in parts.items():
+        out = _padd(out, _pmul(part, _pmul(num_pows[k], den_pows[m - k])))
+    return out
+
+
 def _clear_radicals(table: SymbolTable, num: dict, den: dict):
-    """num/den with radical exponents <= 1 and no radical in the denominator."""
-    n1, d1 = _reduce_radicals(table, num)
-    n2, d2 = _reduce_radicals(table, den)
-    num, den = _pmul(n1, d2), _pmul(d1, n2)
-    # products can reintroduce squares
-    while True:
-        na, da = _reduce_radicals(table, num)
-        nb, db = _reduce_radicals(table, den)
-        if da == _pconst(1) == db and na == num and nb == den:
-            break
-        num, den = _pmul(na, db), _pmul(da, nb)
-    # clear radicals from the denominator by conjugation
-    rads = table.radical_indices()
-    while True:
-        present = [i for i in rads if any(_exp_get(e, i) for e in den)]
-        if not present:
-            break
-        i = max(present)
-        a = _coeff_in(den, i, 0)
+    """num/den with radical exponents <= 1 and no radical in the denominator.
+
+    One sweep over the radicals, last declared first.  A radicand uses only
+    symbols declared before its radical, so neither rewriting s^2 nor
+    multiplying by the conjugate of a denominator a + b*s brings back a
+    radical the sweep has passed.
+    """
+    relations = table._relations
+    for i in reversed(table.radical_indices()):
+        r = relations[i]
+        m = max(_deg_in(num, i), _deg_in(den, i)) // 2
+        if m:
+            num, den = _fold_radical(num, i, r, m), _fold_radical(den, i, r, m)
         b = _coeff_in(den, i, 1)
-        conj = _psub(a, _pmul(b, _pvar(i)))
-        num = _pmul(num, conj)
-        den = _pmul(den, conj)
-        nn, dd = _reduce_radicals(table, den)
-        num = _pmul(num, dd)
-        den = nn
-        if not den:
-            raise DegenerateRadicalError(
-                "conjugate norm vanished; the radicand is a square in the field")
-        nn2, dd2 = _reduce_radicals(table, num)
-        num = nn2
-        den = _pmul(den, dd2)
+        if b:
+            conj = _psub(_coeff_in(den, i, 0), _pmul(b, _pvar(i)))
+            num = _fold_radical(_pmul(num, conj), i, r, 1)
+            den = _fold_radical(_pmul(den, conj), i, r, 1)
+            if not den:
+                raise DegenerateRadicalError(
+                    "conjugate norm vanished; the radicand is a square in the field")
     return num, den
 
 

@@ -137,8 +137,8 @@ class Trajectory:
         """y' from the compiled right-hand side, never from differencing."""
         if self._rhs is None:
             raise ConstraintError("trajectory carries no compiled right-hand side")
-        fex, fco, fde = self._rhs[0], self._rhs[1], self._rhs[2]
-        return _eval_compiled(fex, fco, fde, ts, ys, xs)
+        fex, fco, _, _, den = self._rhs
+        return _eval_compiled(fex, fco, den, ts, ys, xs)
 
     def to_csv(self) -> str:
         lines = [_CSV_HEADER]
@@ -248,10 +248,10 @@ def _compile_component(comp: PhasePoly, radvals):
 
 
 def compile_system(instance):
-    """(fex, fco, fde, gex, gco, gde) ready for the dopri5 kernel.
+    """(fex, fco, gex, gco, den) ready for the dopri5 kernel.
 
-    Denominators are cleared exactly first, so both components share one
-    dense denominator polynomial in t.
+    Denominators are cleared exactly first, so both components share the
+    one dense denominator polynomial in t, den.
     """
     if instance.system is None:
         raise ConstraintError(
@@ -263,7 +263,7 @@ def compile_system(instance):
     den = np.array(mult.complex_t_coefficients(radvals)[0], dtype=np.complex128)
     fex, fco = _compile_component(cleared.f, radvals)
     gex, gco = _compile_component(cleared.g, radvals)
-    return fex, fco, den, gex, gco, den
+    return fex, fco, gex, gco, den
 
 
 def _eval_compiled(ex, co, de, t, y, x):
@@ -325,10 +325,8 @@ def integrate(instance, initial, path, tol: float = 1e-9) -> Trajectory:
         for a in rhs:
             a.flags.writeable = False
         instance._compiled = rhs
-    fex, fco, fde, gex, gco, gde = rhs
     wps = np.array(path.waypoints, dtype=np.complex128)
-    ts, ys, xs, status, t_est = _accel.dopri5_path(
-        fex, fco, fde, gex, gco, gde, wps, y0, x0, float(tol))
+    ts, ys, xs, status, t_est = _accel.dopri5_path(*rhs, wps, y0, x0, float(tol))
 
     samples = list(zip(ts, ys, xs))
     if status == _accel.STATUS_COMPLETED:

@@ -10,7 +10,10 @@ Radical results are compared modulo the relation a*s^2 - 2.  Besides the
 value, every result must be in canonical form: coprime numerator and
 denominator, a monic denominator free of s, s to the power at most 1, and
 terms listed by descending grlex (numeric evaluation sums them in that
-order).
+order).  Over the nested tower s^2 = 2/a, u^2 = 1 + s, whose second
+radicand uses the first, +, -, * and / are checked by evaluation at
+consistent principal roots, with the same canonical form for both
+radicals.
 
 The fixture ``data/canonical_forms.txt`` lists the str() of every
 FieldElem built by the exact layer's certification work on fixed inputs:
@@ -238,6 +241,80 @@ def test_complex_t_coefficients_match_eval_complex(z):
             sum(c * tv ** k for k, c in enumerate(den))
         want = z.eval_complex(dict({names[i]: v for i, v in values.items()}, t=tv))
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------------------
+# a nested tower: s^2 = 2/a and u^2 = 1 + s, the second radicand using the
+# first; results are checked by evaluation at consistent principal roots
+
+NT = SymbolTable()
+NT.declare_param("a")
+NT.declare_radical("s", F(2) / NT.sym("a"))
+NT.declare_radical("u", 1 + NT.sym("s"))
+NT_GENS = sympy.symbols("t a s u")
+NT_POINTS = []
+for _t, _a in ((0.3 + 0.8j, 0.7 - 0.3j), (-1.1 + 0.2j, -1.3 + 0.5j)):
+    _s = cmath.sqrt(2 / _a)
+    NT_POINTS.append({"t": _t, "a": _a, "s": _s, "u": cmath.sqrt(1 + _s)})
+
+
+def _nested_fractions(divisor=False):
+    """(num, den) dicts; a denominator at most linear in s and in u is
+    nonzero in the field.  A divisor keeps two terms over a denominator in
+    t and a, since the quotient clears its numerator of u and then of s."""
+    if divisor:
+        return st.tuples(_polys((1, 1, 1, 1), min_size=1, max_size=2),
+                         _polys((1, 1), min_size=1, max_size=2))
+    return st.tuples(_polys((1, 1, 2, 2), min_size=1),
+                     _polys((1, 1, 1, 1), min_size=1, max_size=2))
+
+
+def _eval_fraction(num, den, point):
+    # the uncanonicalized fraction at the point
+    values = [point[name] for name in NT.names]
+
+    def ev(p):
+        total = 0j
+        for e, c in p.items():
+            term = complex(c)
+            for v, k in zip(values, e):
+                term *= v ** k
+            total += term
+        return total
+
+    return ev(num) / ev(den)
+
+
+def _assert_nested_canonical(z: FieldElem):
+    _assert_grlex_ordered(z)
+    s, u = NT.index("s"), NT.index("u")
+    assert all(field._exp_get(e, i) <= 1 for e in z.num for i in (s, u))
+    assert not any(field._exp_get(e, i) for e in z.den for i in (s, u))
+    num, den = _sym_poly(z.num, NT_GENS), _sym_poly(z.den, NT_GENS)
+    assert sympy.Poly(den, *NT_GENS).LC(order="grlex") == 1
+    assert sympy.Poly(sympy.gcd(num, den), *NT_GENS).is_ground
+
+
+def _assert_value(z: FieldElem, want, point, scale):
+    assert abs(z.eval_complex(point) - want) <= 1e-9 * max(1.0, scale, abs(want))
+
+
+@ORACLE
+@given(_nested_fractions(), _nested_fractions(divisor=True))
+def test_nested_tower_arithmetic_matches_evaluation(xf, yf):
+    # y is nonzero: its numerator is at most linear in s and in u
+    x, y = FieldElem(NT, *xf), FieldElem(NT, *yf)
+    total, diff, prod, quot = x + y, x - y, x * y, x / y
+    for z in (x, y, total, diff, prod, quot):
+        _assert_nested_canonical(z)
+    for point in NT_POINTS:
+        xv, yv = _eval_fraction(*xf, point), _eval_fraction(*yf, point)
+        _assert_value(x, xv, point, abs(xv))
+        _assert_value(y, yv, point, abs(yv))
+        _assert_value(total, xv + yv, point, abs(xv) + abs(yv))
+        _assert_value(diff, xv - yv, point, abs(xv) + abs(yv))
+        _assert_value(prod, xv * yv, point, abs(xv) * abs(yv))
+        _assert_value(quot, xv / yv, point, abs(xv / yv))
 
 
 def _sym_phase(P: PhasePoly):

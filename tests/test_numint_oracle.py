@@ -127,8 +127,8 @@ def test_fixture_covers_poles_denominators_and_the_step_cap(trajs):
     statuses = {tr.status for tr in trajs.values()}
     assert statuses == {numint.COMPLETED, numint.POLE_DETECTED, numint.SINGULARITY_ABORTED}
     for name in ("S3prime", "S5", "S6"):
-        fde = trajs[name]._rhs[2]
-        assert len(fde) > 1 and trajs[name].status == numint.COMPLETED
+        den = trajs[name]._rhs[-1]
+        assert len(den) > 1 and trajs[name].status == numint.COMPLETED
 
 
 # ---------------------------------------------------------------------------
