@@ -5,12 +5,16 @@ square roots declared through relations s^2 = r.  SymbolTable.root_of
 alone decides whether a square root is already in the field (a rational
 multiple of a product of declared radicals); declare_radical refuses a
 radicand that has one, and every module that takes square roots asks the
-table rather than deciding for itself.  Values are represented
-as reduced fractions of sparse multivariate polynomials with Fraction
-coefficients.  The representation is private to this module: other
-modules read coefficients through FieldElem.t_coefficients,
-FieldElem.complex_t_coefficients and common_denominator, so a change of
-format touches this file alone.  Canonical form:
+table rather than deciding for itself.  Values are represented as reduced
+fractions of sparse multivariate polynomials with Fraction coefficients.
+Integer coefficients are used in one place, the polynomial gcd: _pgcd
+clears the denominators of its operands once, runs the primitive PRS over
+Z[symbols], and makes the result monic over Q at the end; the generic
+_padd, _pmul and _pdiv_exact serve both coefficient types.  The
+representation is private to this module: other modules read coefficients
+through FieldElem.t_coefficients, FieldElem.complex_t_coefficients and
+common_denominator, so a change of format touches this file alone.
+Canonical form:
 
 * graded-lexicographic monomial order on the table's symbol order,
 * every radical symbol appears with exponent <= 1 (squares rewritten
@@ -65,7 +69,9 @@ All values are immutable; operations are pure functions.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from operator import add, floordiv, sub, truediv
 from typing import Optional, Union
 
 from .errors import (
@@ -89,7 +95,7 @@ KIND_PARAM = "transcendental-parameter"
 KIND_RADICAL = "radical"
 
 # ---------------------------------------------------------------------------
-# sparse polynomial layer: dict {exponent tuple: Fraction}
+# sparse polynomial layer: dict {exponent tuple: coefficient}
 #
 # Exponent tuples are stored with trailing zeros stripped so that values
 # survive later symbol declarations on the same table (append-only).
@@ -110,10 +116,6 @@ def _exp_get(e: tuple, i: int) -> int:
     return e[i] if i < len(e) else 0
 
 
-def _grlex_key(e: tuple, n: int):
-    return (sum(e), _pad(e, n))
-
-
 def _pconst(c) -> dict:
     c = Fraction(c)
     return {(): c} if c else {}
@@ -126,7 +128,8 @@ def _pvar(i: int) -> dict:
 def _padd(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
+        s = out.get(e)
+        s = c if s is None else s + c
         if s:
             out[e] = s
         else:
@@ -143,56 +146,73 @@ def _psub(a: dict, b: dict) -> dict:
 
 
 def _emul(e1: tuple, e2: tuple) -> tuple:
-    n = max(len(e1), len(e2))
-    return _strip(tuple(_exp_get(e1, i) + _exp_get(e2, i) for i in range(n)))
+    # both stripped: the last entry of the longer one keeps the sum stripped
+    if len(e1) < len(e2):
+        e1, e2 = e2, e1
+    return tuple(map(add, e1, e2 + (0,) * (len(e1) - len(e2))))
 
 
 def _pmul(a: dict, b: dict) -> dict:
+    # a constant factor, most often 1, scales the other in its term order
+    if _is_const(a):
+        return _pscale(b, a[()])
+    if _is_const(b):
+        return _pscale(a, b[()])
     out: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = _emul(e1, e2)
-            s = out.get(e, Fraction(0)) + c1 * c2
+            c = c1 * c2
+            s = out.get(e)
+            s = c if s is None else s + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
+                del out[e]
     return out
 
 
 def _pscale(a: dict, c) -> dict:
-    c = Fraction(c)
     if not c:
         return {}
-    return {e: cc * c for e, cc in a.items()}
+    return dict(a) if c == 1 else {e: cc * c for e, cc in a.items()}
 
 
-def _plead(a: dict, n: int) -> tuple:
-    # leading (exponent, coefficient) under grlex
-    e = max(a, key=lambda ee: _grlex_key(ee, n))
+def _plead(a: dict) -> tuple:
+    # leading (exponent, coefficient) under grlex: a stripped exponent
+    # compares as its zero-padded form does, its last entry being nonzero
+    _, e = max(zip(map(sum, a), a))
     return e, a[e]
 
 
-def _pdiv_exact(a: dict, b: dict, n: int) -> Optional[dict]:
-    """Exact division a/b in Q[symbols]; None when not divisible.
+def _pdiv_exact(a: dict, b: dict, quo=truediv) -> Optional[dict]:
+    """Exact division a/b; None when not divisible.
 
     Single-divisor reduction is a complete divisibility test: a is a
-    multiple of b iff the remainder vanishes.
+    multiple of b iff the remainder vanishes.  quo divides coefficients:
+    truediv over Q, floordiv over Z in the gcd.
     """
     if not b:
         raise DivisionByZeroError("polynomial division by zero")
+    if b == {(): 1}:
+        # the divisor 1: the terms of a, listed as the reduction would
+        return _grlex_sorted(a)
     q: dict = {}
     r = dict(a)
-    eb, cb = _plead(b, n)
+    eb, cb = _plead(b)
     while r:
-        er, cr = _plead(r, n)
-        diff = tuple(_exp_get(er, i) - _exp_get(eb, i) for i in range(max(len(er), len(eb))))
+        er, cr = _plead(r)
+        if len(er) < len(eb):
+            return None
+        diff = tuple(map(sub, er, eb + (0,) * (len(er) - len(eb))))
         if any(d < 0 for d in diff):
             return None
         e = _strip(diff)
-        c = cr / cb
-        q[e] = q.get(e, Fraction(0)) + c
-        r = _psub(r, _pmul({e: c}, b))
+        c = quo(cr, cb)
+        q[e] = c
+        r = _padd(r, _pmul({e: -c}, b))
+        if er in r:
+            return None  # over Z: cb does not divide cr
     return q
 
 
@@ -208,21 +228,14 @@ def _pderiv_formal(a: dict, i: int) -> dict:
     return out
 
 
-def _pmonic(a: dict, n: int) -> dict:
-    if not a:
-        return {}
-    _, c = _plead(a, n)
-    return _pscale(a, 1 / c)
-
-
 def _is_const(a: dict) -> bool:
     # a nonzero rational constant
     return len(a) == 1 and () in a
 
 
-def _grlex_sorted(a: dict, n: int) -> dict:
+def _grlex_sorted(a: dict) -> dict:
     # the terms of a listed by descending grlex, as canonical forms keep them
-    return dict(sorted(a.items(), key=lambda kv: _grlex_key(kv[0], n), reverse=True))
+    return {e: a[e] for _, e in sorted(zip(map(sum, a), a), reverse=True)}
 
 
 def _vars_used(a: dict) -> set:
@@ -235,16 +248,17 @@ def _vars_used(a: dict) -> set:
 
 
 def _deg_in(a: dict, v: int) -> int:
-    return max((_exp_get(e, v) for e in a), default=0)
+    return max((e[v] for e in a if len(e) > v), default=0)
 
 
 def _coeff_in(a: dict, v: int, k: int) -> dict:
     out = {}
     for e, c in a.items():
-        if _exp_get(e, v) == k:
-            ee = list(_pad(e, max(len(e), v + 1)))
-            ee[v] = 0
-            out[_strip(tuple(ee))] = c
+        if len(e) <= v:
+            if not k:
+                out[e] = c
+        elif e[v] == k:
+            out[_strip(e[:v] + (0,) + e[v + 1:])] = c
     return out
 
 
@@ -263,7 +277,7 @@ def _spend(budget, units: int):
             raise _CancelBudgetExceeded()
 
 
-def _prem(a: dict, b: dict, v: int, n: int, budget=None) -> dict:
+def _prem(a: dict, b: dict, v: int, budget=None) -> dict:
     # pseudo-remainder of a by b in variable v
     db = _deg_in(b, v)
     lb = _coeff_in(b, v, db)
@@ -272,17 +286,18 @@ def _prem(a: dict, b: dict, v: int, n: int, budget=None) -> dict:
         dr = _deg_in(r, v)
         lr = _coeff_in(r, v, dr)
         _spend(budget, len(lb) * len(r) + len(lr) * len(b))
-        shift = {_strip((0,) * v + (dr - db,)): Fraction(1)}
+        shift = {_strip((0,) * v + (dr - db,)): 1}
         r = _psub(_pmul(lb, r), _pmul(_pmul(lr, shift), b))
     return r
 
 
-def _content_in(a: dict, v: int, n: int, budget=None) -> dict:
+def _content_in(a: dict, v: int, budget=None) -> dict:
+    # gcd over Z[symbols] of the coefficients of a in symbol v
     g: dict = {}
     for k in range(_deg_in(a, v) + 1):
         c = _coeff_in(a, v, k)
         if c:
-            g = _pgcd(g, c, n, budget)
+            g = _zgcd(g, c, budget)
     return g
 
 
@@ -357,40 +372,63 @@ def _coprime_mod_p(a: dict, b: dict) -> bool:
     return True
 
 
-def _pgcd(a: dict, b: dict, n: int, budget=None) -> dict:
-    """Monic gcd in Q[symbols] via the primitive PRS.
+def _primitive(a: dict) -> dict:
+    # a over Z: denominators, integer content and a negative leading sign removed
+    if not a:
+        return {}
+    den = math.lcm(*(c.denominator for c in a.values()))
+    a = {e: c.numerator * (den // c.denominator) for e, c in a.items()}
+    g = math.gcd(*a.values())
+    if _plead(a)[1] < 0:
+        g = -g
+    return {e: c // g for e, c in a.items()}
+
+
+def _pgcd(a: dict, b: dict, budget=None) -> dict:
+    """Monic gcd in Q[symbols], by _zgcd on the primitive parts over Z.
 
     With a budget ([units left]) the work is metered and
     _CancelBudgetExceeded is raised once it runs out; without one the gcd
-    runs to the end, as canonicalization needs, after a mod-p image check
-    that returns 1 at once for operands it proves coprime.
+    runs to the end, as canonicalization needs.
+    """
+    g = _zgcd(_primitive(a), _primitive(b), budget)
+    if not g:
+        return {}
+    _, lc = _plead(g)
+    return {e: Fraction(c, lc) for e, c in g.items()}
+
+
+def _zgcd(a: dict, b: dict, budget=None) -> dict:
+    """Primitive gcd of a and b in Z[symbols], by the primitive PRS (Knuth,
+    TAOCP vol. 2, 4.6.1, Algorithm E).  Unmetered, a mod-p image check
+    first returns 1 at once for operands it proves coprime.
     """
     if not a:
-        return _pmonic(b, n)
+        return _primitive(b)
     if not b:
-        return _pmonic(a, n)
+        return _primitive(a)
     used = _vars_used(a) | _vars_used(b)
     if not used:
-        return _pconst(1)
+        return {(): 1}
     if budget is None and _coprime_mod_p(a, b):
-        return _pconst(1)
+        return {(): 1}
     _spend(budget, len(a) + len(b))
     v = max(used)
-    ca, cb = _content_in(a, v, n, budget), _content_in(b, v, n, budget)
-    pa = _pdiv_exact(a, ca, n)
-    pb = _pdiv_exact(b, cb, n)
-    cg = _pgcd(ca, cb, n, budget)
+    ca, cb = _content_in(a, v, budget), _content_in(b, v, budget)
+    pa = _pdiv_exact(a, ca, floordiv)
+    pb = _pdiv_exact(b, cb, floordiv)
+    cg = _zgcd(ca, cb, budget)
     if _deg_in(pa, v) < _deg_in(pb, v):
         pa, pb = pb, pa
     while pb:
-        r = _prem(pa, pb, v, n, budget)
+        r = _prem(pa, pb, v, budget)
         if r:
-            # the content in v leaves a rational unit, which would grow
+            # the content in v, and then the integer content, would grow
             # without bound through univariate pseudo-remainders
-            r = _pmonic(_pdiv_exact(r, _content_in(r, v, n, budget), n), n)
+            r = _primitive(_pdiv_exact(r, _content_in(r, v, budget), floordiv))
         pa, pb = pb, r
-    pp = _pdiv_exact(pa, _content_in(pa, v, n, budget), n)
-    return _pmonic(_pmul(cg, pp), n)
+    pp = _pdiv_exact(pa, _content_in(pa, v, budget), floordiv)
+    return _primitive(_pmul(cg, pp))
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +746,8 @@ class FieldElem:
         o = as_elem(self.table, other)
         table = self.table
         if not _uses_radicals(table, self.num, self.den, o.num, o.den):
-            return FieldElem(table, *_henrici_product(self.num, self.den, o.num, o.den,
-                                                      len(table)), _canonical=True)
+            return FieldElem(table, *_henrici_product(self.num, self.den, o.num, o.den),
+                             _canonical=True)
         return FieldElem(table, _pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
@@ -723,11 +761,10 @@ class FieldElem:
         table = self.table
         if not _uses_radicals(table, self.num, self.den, o.num, o.den):
             # o inverted: den/num, scaled so that its new denominator is monic
-            n = len(table)
-            _, lc = _plead(o.num, n)
+            _, lc = _plead(o.num)
             inv_num, inv_den = (o.den, o.num) if lc == 1 else \
                 (_pscale(o.den, 1 / lc), _pscale(o.num, 1 / lc))
-            return FieldElem(table, *_henrici_product(self.num, self.den, inv_num, inv_den, n),
+            return FieldElem(table, *_henrici_product(self.num, self.den, inv_num, inv_den),
                              _canonical=True)
         return FieldElem(table, _pmul(self.num, o.den), _pmul(self.den, o.num))
 
@@ -837,10 +874,9 @@ class FieldElem:
 
 def common_denominator(table: SymbolTable, elems) -> FieldElem:
     """The monic lcm of the denominators of elems (1 for none)."""
-    n = len(table)
     common = _pconst(1)
     for z in elems:
-        common = _pdiv_exact(_pmul(common, z.den), _pgcd(common, z.den, n), n)
+        common = _pdiv_exact(_pmul(common, z.den), _pgcd(common, z.den))
     return FieldElem(table, common, _pconst(1))
 
 
@@ -879,7 +915,6 @@ def _uses_radicals(table: SymbolTable, *polys) -> bool:
 def _canonicalize(table: SymbolTable, num: dict, den: dict):
     if not den:
         raise DivisionByZeroError("zero denominator")
-    n = len(table)
     if _uses_radicals(table, num, den):
         num, den = _clear_radicals(table, num, den)
         if not den:
@@ -890,12 +925,12 @@ def _canonicalize(table: SymbolTable, num: dict, den: dict):
         # gcd(num, c) = 1: dividing by c is the whole reduction
         c = den[()]
         if c == 1:
-            return _grlex_sorted(num, n), _pconst(1)
-        return _grlex_sorted({e: cc / c for e, cc in num.items()}, n), _pconst(1)
-    g = _pgcd(num, den, n)
-    num = _pdiv_exact(num, g, n)
-    den = _pdiv_exact(den, g, n)
-    _, lc = _plead(den, n)
+            return _grlex_sorted(num), _pconst(1)
+        return _grlex_sorted({e: cc / c for e, cc in num.items()}), _pconst(1)
+    g = _pgcd(num, den)
+    num = _pdiv_exact(num, g)
+    den = _pdiv_exact(den, g)
+    _, lc = _plead(den)
     if lc != 1:
         num = _pscale(num, 1 / lc)
         den = _pscale(den, 1 / lc)
@@ -948,17 +983,17 @@ def _clear_radicals(table: SymbolTable, num: dict, den: dict):
     return num, den
 
 
-def _cancel_common(a: dict, b: dict, n: int):
+def _cancel_common(a: dict, b: dict):
     """a/g and b/g for the monic g = gcd(a, b); no gcd when one is constant."""
     if _is_const(a) or _is_const(b):
         return a, b
-    g = _pgcd(a, b, n)
+    g = _pgcd(a, b)
     if _is_const(g):
         return a, b
-    return _pdiv_exact(a, g, n), _pdiv_exact(b, g, n)
+    return _pdiv_exact(a, g), _pdiv_exact(b, g)
 
 
-def _henrici_product(n1: dict, d1: dict, n2: dict, d2: dict, n: int):
+def _henrici_product(n1: dict, d1: dict, n2: dict, d2: dict):
     """Canonical (num, den) of (n1/d1)*(n2/d2) for canonical, radical-free factors.
 
     Each factor is coprime with a monic denominator, so once g1 = gcd(n1, d2)
@@ -967,9 +1002,9 @@ def _henrici_product(n1: dict, d1: dict, n2: dict, d2: dict, n: int):
     """
     if not n1 or not n2:
         return {}, _pconst(1)
-    n1, d2 = _cancel_common(n1, d2, n)
-    n2, d1 = _cancel_common(n2, d1, n)
-    return _grlex_sorted(_pmul(n1, n2), n), _grlex_sorted(_pmul(d1, d2), n)
+    n1, d2 = _cancel_common(n1, d2)
+    n2, d1 = _cancel_common(n2, d1)
+    return _grlex_sorted(_pmul(n1, n2)), _grlex_sorted(_pmul(d1, d2))
 
 
 # ---------------------------------------------------------------------------
@@ -1371,8 +1406,9 @@ def _phase_cancel(num: PhasePoly, den: PhasePoly):
     Coefficient denominators are cleared first; radicals are treated as
     free variables, which can only miss cancellations, never create wrong
     ones.  The cancellation is cosmetic, so its gcd is metered: past
-    _CANCEL_CAP units of work the quotient is kept as built, as it is at
-    once when _coprime_mod_p proves the two sides coprime.
+    _CANCEL_CAP units of work the quotient is kept as built, with a DEBUG
+    record on the painlevekit logger, as it is at once when _coprime_mod_p
+    proves the two sides coprime.
     """
     table = num.table
     n = len(table)
@@ -1386,20 +1422,26 @@ def _phase_cancel(num: PhasePoly, den: PhasePoly):
         for c in p.terms.values():
             mult = _pmul(mult, c.den)
         for e, c in p.terms.items():
-            scaled_num = _pmul(c.num, _pdiv_exact(mult, c.den, n))
+            scaled_num = _pmul(c.num, _pdiv_exact(mult, c.den))
             for se, f in scaled_num.items():
                 key = _strip(e + _pad(se, n))
-                out[key] = out.get(key, Fraction(0)) + f
+                s = out.get(key)
+                out[key] = f if s is None else s + f
         return {k: v for k, v in out.items() if v}, mult
 
     fn, mn = flatten(num)
     fd, md = flatten(den)
-    total = n + 4
     if _coprime_mod_p(fn, fd):
         return num, den
     try:
-        g = _pgcd(fn, fd, total, [_CANCEL_CAP])
+        g = _pgcd(fn, fd, [_CANCEL_CAP])
     except _CancelBudgetExceeded:
+        # as in _accel: no DEBUG record is wanted before logging is imported
+        logging = sys.modules.get("logging")
+        if logging is not None:
+            logging.getLogger(__name__).debug(
+                "gcd budget of %d units ran out; quotient of %d over %d terms "
+                "kept as built", _CANCEL_CAP, len(fn), len(fd))
         return num, den
     if set(g) <= {()}:
         return num, den
@@ -1415,8 +1457,8 @@ def _phase_cancel(num: PhasePoly, den: PhasePoly):
             terms[pe] = c if cur is None else cur + c
         return PhasePoly(table, terms)
 
-    qn = _pdiv_exact(fn, g, total)
-    qd = _pdiv_exact(fd, g, total)
+    qn = _pdiv_exact(fn, g)
+    qd = _pdiv_exact(fd, g)
     return unflatten(qn, mn), unflatten(qd, md)
 
 
@@ -1486,7 +1528,7 @@ def _poly_str(table: SymbolTable, p: dict) -> str:
     if not p:
         return "0"
     n = len(table)
-    items = sorted(p.items(), key=lambda kv: _grlex_key(kv[0], n), reverse=True)
+    items = _grlex_sorted(p).items()
     out = []
     for idx, (e, c) in enumerate(items):
         mono = _mono_str(_pad(e, n), table.names)

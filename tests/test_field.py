@@ -1,6 +1,8 @@
 """Exact-arithmetic layer: canonical forms, radicals, parsing, membership."""
 
 import ast
+import logging
+import operator
 import pathlib
 import threading
 from fractions import Fraction
@@ -575,12 +577,36 @@ def _common_factor_quotient(tab):
 def test_cancel_cap_keeps_the_quotient_as_built(monkeypatch):
     tab = SymbolTable()
     num, den = _common_factor_quotient(tab)
+    units = []
+    spend = field._spend
+
+    def counted(budget, n):
+        if budget is not None:
+            units.append(n)
+        return spend(budget, n)
+
+    monkeypatch.setattr(field, "_spend", counted)
     got = field._phase_cancel(num, den)
     assert (str(got[0]), str(got[1])) == ("y - 1", "x + 2")
     # the gcd of this pair costs 57 units of work
+    assert sum(units) == 57
     monkeypatch.setattr(field, "_CANCEL_CAP", 10)
     got = field._phase_cancel(num, den)
     assert got[0] is num and got[1] is den
+
+
+def test_exhausted_cancel_budget_is_logged(monkeypatch, caplog):
+    tab = SymbolTable()
+    num, den = _common_factor_quotient(tab)
+    with caplog.at_level(logging.DEBUG, logger="painlevekit"):
+        field._phase_cancel(num, den)
+        assert not caplog.records
+        monkeypatch.setattr(field, "_CANCEL_CAP", 10)
+        field._phase_cancel(num, den)
+    [record] = caplog.records
+    assert (record.name, record.levelno) == ("painlevekit.field", logging.DEBUG)
+    assert record.msg.startswith("gcd budget")
+    assert record.args == (10, 4, 4)
 
 
 def test_coprime_quotient_is_kept_without_a_gcd(monkeypatch):
@@ -592,15 +618,23 @@ def test_coprime_quotient_is_kept_without_a_gcd(monkeypatch):
     assert got[0] is num and got[1] is den
 
 
+def test_exact_division_over_z_refuses_a_rational_quotient():
+    # (t + 1)/(2t + 2) = 1/2 divides over Q but not over Z, where the
+    # reduction stops at the leading term it cannot cancel
+    a, b = {(1,): 1, (): 1}, {(1,): 2, (): 2}
+    assert field._pdiv_exact(a, b) == {(): Fraction(1, 2)}
+    assert field._pdiv_exact(a, b, operator.floordiv) is None
+
+
 def test_metered_gcd_takes_no_shortcut(monkeypatch):
     # only an unmetered gcd asks the mod-p check, so a metered one spends
     # its budget exactly as it would without the check
     a = field._padd(field._pvar(0), field._pconst(1))
     b = field._padd(field._pvar(1), field._pconst(2))
     checks = _counting(monkeypatch, "_coprime_mod_p")
-    assert field._pgcd(a, b, 2, [field._CANCEL_CAP]) == field._pconst(1)
+    assert field._pgcd(a, b, [field._CANCEL_CAP]) == field._pconst(1)
     assert checks == []
-    assert field._pgcd(a, b, 2) == field._pconst(1)
+    assert field._pgcd(a, b) == field._pconst(1)
     assert len(checks) == 1
 
 
@@ -635,7 +669,7 @@ def test_cancel_budget_is_private_to_its_quotient(monkeypatch):
     monkeypatch.setattr(field, "_spend", spend)
     assert want_a == ["y - 1", "x + 2"]
     assert want_b == "16/(t^2 + 18*t + 17)"
-    assert sum(units) > 200
+    assert sum(units) == 435
 
     inside, b_done = threading.Event(), threading.Event()
     content_in = field._content_in

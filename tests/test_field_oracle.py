@@ -64,9 +64,17 @@ RELATION = {id(QT): None, id(RT): A * S ** 2 - 2}
 # strategies
 
 
-def _polys(max_exp, min_size=0, max_size=3):
+_SMALL_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+# large denominators, some of them primes, one of which is the modulus of
+# _coprime_mod_p: what the gcd's clearing of the lcm and the content sees
+_LARGE_COEFFS = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+    st.builds(F, st.integers(-10**6, 10**6),
+              st.sampled_from((999_983, 1_000_003, field._COPRIME_P)))).filter(bool)
+
+
+def _polys(max_exp, min_size=0, max_size=3, coeffs=_SMALL_COEFFS):
     exps = st.tuples(*(st.integers(0, k) for k in max_exp)).map(field._strip)
-    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
     return st.dictionaries(exps, coeffs, min_size=min_size, max_size=max_size)
 
 
@@ -118,7 +126,7 @@ def _sym(z: FieldElem):
 def _assert_grlex_ordered(z: FieldElem):
     n = len(z.table)
     for p in (z.num, z.den):
-        keys = [field._grlex_key(e, n) for e in p]
+        keys = [(sum(e), field._pad(e, n)) for e in p]
         assert keys == sorted(keys, reverse=True)
 
 
@@ -199,19 +207,31 @@ def test_derivation_matches_sympy(x):
     _assert_canonical(x.d(), sympy.diff(_sym(x), T))
 
 
-@ORACLE
-@given(_polys((2, 2, 2)), _polys((2, 2, 2)), _polys((2, 2, 2)))
-def test_pgcd_matches_sympy(f, g, h):
+def _assert_pgcd_matches_sympy(f, g, h):
+    # the metered gcd, which takes no mod-p shortcut, gives the same result
     gens = GENS[id(QT)]
-    n = len(QT)
     p, q = field._pmul(f, g), field._pmul(f, h)
-    ours = field._pgcd(p, q, n)
+    ours = field._pgcd(p, q)
+    assert field._pgcd(p, q, [field._CANCEL_CAP]) == ours
+    assert all(type(c) is F for c in ours.values())
     ref = sympy.gcd(_sym_poly(p, gens), _sym_poly(q, gens))
     if ref == 0:
         assert ours == {}
         return
     lc = sympy.Poly(ref, *gens).LC(order="grlex")
     assert sympy.expand(_sym_poly(ours, gens) - ref / lc) == 0
+
+
+@ORACLE
+@given(_polys((2, 2, 2)), _polys((2, 2, 2)), _polys((2, 2, 2)))
+def test_pgcd_matches_sympy(f, g, h):
+    _assert_pgcd_matches_sympy(f, g, h)
+
+
+@ORACLE
+@given(*(_polys((2, 2, 2), coeffs=_LARGE_COEFFS) for _ in range(3)))
+def test_pgcd_with_large_denominators_matches_sympy(f, g, h):
+    _assert_pgcd_matches_sympy(f, g, h)
 
 
 @ORACLE

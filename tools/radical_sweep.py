@@ -13,6 +13,13 @@ towers of four radicals whose radicands use the radicals before them, it
 prints the str() and symbols_used() of +, -, *, / and powers of random
 elements.  Two checkouts decide every square root, and compute with the
 radicals, alike on these inputs exactly when their outputs are equal.
+
+``tools/radical_sweep.sha256`` holds the SHA-256 of the output, and CI
+checks it with
+
+    PYTHONPATH=src python3 tools/radical_sweep.py | sha256sum -c tools/radical_sweep.sha256
+
+A change meant to alter what the sweep prints updates that file with it.
 """
 
 import operator
