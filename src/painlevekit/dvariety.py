@@ -290,33 +290,38 @@ def _normalize_found(P: PhasePoly) -> PhasePoly:
     return P.scale(P.table.const(1 / rows[lead]))
 
 
-def _fraction_kernel(rows: list, ncols: int) -> list:
-    """Kernel basis of a dense Fraction matrix (list of row lists)."""
-    if not rows:
-        return [[Fraction(int(i == c)) for i in range(ncols)] for c in range(ncols)]
-    M = [list(r) for r in rows]
+def _integer_kernel(rows: list, ncols: int) -> list:
+    """Kernel basis of an integer matrix (list of row lists), as Fractions.
+
+    Fraction-free Gauss-Jordan (after Bareiss, Math. Comp. 1968, with each
+    row made primitive instead of divided by the previous pivot): each row
+    other than the pivot row p becomes pivot * row - factor * p, divided
+    by its integer content.  Each pivot row ends as a multiple of its row
+    of the reduced row echelon form, which is canonical, so the basis is
+    the RREF's: 1 at one free column c, -M[r][c] / M[r][pivot] at the
+    pivots.
+    """
+    M = list(rows)
     nrows = len(M)
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if M[i][c]:
-                piv = i
-                break
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if M[i][c]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [v * inv for v in M[r]]
+        prow = M[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+            f = M[i][c]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(M[i], prow)]
+                g = gcd(*row)
+                M[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
     pivot_set = set(pivots)
     basis = []
     for c in range(ncols):
@@ -325,21 +330,23 @@ def _fraction_kernel(rows: list, ncols: int) -> list:
         v = [Fraction(0)] * ncols
         v[c] = Fraction(1)
         for pr, pc in enumerate(pivots):
-            v[pc] = -M[pr][c]
+            v[pc] = Fraction(-M[pr][c], M[pr][pc])
         basis.append(v)
     return basis
 
 
 def _build_system(D: DVectorField, bounds: SearchBounds, gmonos: list,
                   max_matrix: int):
-    """Exact matrices for D(P) - G*P = 0 over the monomial bases.
+    """Exact integer system for D(P) - G*P = 0 over the monomial bases.
 
     G runs over the span of the cofactor monomials gmonos; with none, the
-    system is D(P) = 0.  Returns (cols, A, Bidx) where A maps
-    P-coefficients to D(P)-coefficients and Bidx[m] gives, for each column
-    c, the one row whose (gmonos[m] * P)-coefficient is P's coefficient c.
-    SearchCapExceededError when the matrix would have more than max_matrix
-    entries; where the monomial counts alone show that, before building it.
+    system is D(P) = 0.  Returns (cols, A, den, Bidx): A is a list of int
+    rows with A / den the matrix that maps P-coefficients to
+    D(P)-coefficients, den the lcm of its denominators, and Bidx[m] gives,
+    for each column c, the one row whose (gmonos[m] * P)-coefficient is P's
+    coefficient c.  SearchCapExceededError when the matrix would have more
+    than max_matrix entries; where the monomial counts alone show that,
+    before building it.
     """
     table = D.table
     cols = _within_cap(_poly_monomials(bounds.deg_xy, bounds.deg_t), max_matrix)
@@ -352,11 +359,14 @@ def _build_system(D: DVectorField, bounds: SearchBounds, gmonos: list,
             f"system matrix of at least {R}x{C} exceeds the cap {max_matrix}")
     acols = []
     row_keys = set()
+    den = 1
     for (i, j, k) in cols:
         DP = apply_derivation(D, _mono_poly(table, i, j, k))
         rows = _poly_to_rows(DP)
         acols.append(rows)
         row_keys.update(rows)
+        for val in rows.values():
+            den = lcm(den, val.denominator)
         for (gi, gj, gk) in gmonos:
             row_keys.add((i + gi, j + gj, k + gk))
     rows = sorted(row_keys)
@@ -365,19 +375,20 @@ def _build_system(D: DVectorField, bounds: SearchBounds, gmonos: list,
         raise SearchCapExceededError(
             f"system matrix {R}x{C} exceeds the cap {max_matrix}")
     ridx = {key: n for n, key in enumerate(rows)}
-    A = [[Fraction(0)] * C for _ in range(R)]
+    A = [[0] * C for _ in range(R)]
     for c, rowdict in enumerate(acols):
         for key, val in rowdict.items():
-            A[ridx[key]][c] = val
+            A[ridx[key]][c] = val.numerator * (den // val.denominator)
     Bidx = [[ridx[(i + gi, j + gj, k + gk)] for (i, j, k) in cols]
             for (gi, gj, gk) in gmonos]
-    return cols, A, Bidx
+    return cols, A, den, Bidx
 
 
 def _kernel_polys(table: SymbolTable, cols: list, M: list):
-    """Normalized nonconstant polynomials from the kernel basis of M, whose
-    columns are the coefficients of the monomials cols."""
-    for vec in _fraction_kernel(M, len(cols)):
+    """Normalized nonconstant polynomials from the kernel basis of the
+    integer rows M, whose columns are the coefficients of the monomials
+    cols."""
+    for vec in _integer_kernel(M, len(cols)):
         P = PhasePoly(table, {})
         for c, v in enumerate(vec):
             if v:
@@ -403,8 +414,9 @@ def darboux_search(D: DVectorField, bounds: SearchBounds,
        whose square block has a one-dimensional eigenspace there is
        decided by whether the whole system annihilates its eigenvector;
        the others by an elimination of the whole system mod p;
-    3. exact kernel: Fraction elimination for each survivor of stage 2,
-       then re-verification of every polynomial found.
+    3. exact kernel: for each survivor of stage 2, fraction-free
+       Gauss-Jordan on the integer system (``_integer_kernel``), then
+       re-verification of every polynomial found.
 
     Stages 1 and 2 are sound: they only discard candidates whose system
     is provably of full rank.  Results are normalized (P monic in grlex),
@@ -417,7 +429,7 @@ def darboux_search(D: DVectorField, bounds: SearchBounds,
     _require_rational_in_t(D)
     table = D.table
     gmonos = _within_cap(_cofactor_monomials(D, bounds), max_matrix)
-    cols, A, Bidx = _build_system(D, bounds, gmonos, max_matrix)
+    cols, A, den, Bidx = _build_system(D, bounds, gmonos, max_matrix)
     R, C = len(A), len(cols)
     m = len(gmonos)
     width = 2 * bounds.cofactor_box + 1
@@ -427,17 +439,10 @@ def darboux_search(D: DVectorField, bounds: SearchBounds,
             f"{n_candidates} cofactor candidates exceed the cap {max_candidates}; "
             "lower cofactor_box or set cofactor_deg")
 
-    # integer scaling for the modular stage
-    denlcm = 1
-    for row in A:
-        for v in row:
-            if v:
-                denlcm = lcm(denlcm, v.denominator)
-    A_mod = np.array([[int(v * denlcm) % _accel.MOD_P for v in row] for row in A],
-                     np.int64)
+    A_mod = np.array([[v % _accel.MOD_P for v in row] for row in A], np.int64)
     B_mod = np.zeros((m, R, C), np.int64)
     for mi, ridx in enumerate(Bidx):
-        B_mod[mi, ridx, np.arange(C)] = denlcm % _accel.MOD_P
+        B_mod[mi, ridx, np.arange(C)] = den % _accel.MOD_P
 
     # m >= 1: the constant (0, 0, 0) is always a cofactor monomial
     vals = np.arange(-bounds.cofactor_box, bounds.cofactor_box + 1, dtype=np.int64)
@@ -450,8 +455,9 @@ def darboux_search(D: DVectorField, bounds: SearchBounds,
         M = [list(Arow) for Arow in A]
         for coef, ridx in zip(gvec, Bidx):
             if coef:
+                shift = int(coef) * den
                 for c, r in enumerate(ridx):
-                    M[r][c] -= Fraction(int(coef))
+                    M[r][c] -= shift
         for P in _kernel_polys(table, cols, M):
             key = str(P)
             if key in found:
@@ -466,7 +472,7 @@ def first_integral_search(D: DVectorField, bounds: SearchBounds,
                           max_matrix: int = 40_000) -> list:
     """Polynomials P within bounds with D(P) = 0, constants excluded."""
     _require_rational_in_t(D)
-    cols, A, _ = _build_system(D, bounds, [], max_matrix)
+    cols, A, _, _ = _build_system(D, bounds, [], max_matrix)
     out = {str(P): P for P in _kernel_polys(D.table, cols, A)}
     results = [out[k] for k in sorted(out)]
     for P in results:

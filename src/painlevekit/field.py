@@ -486,6 +486,7 @@ class SymbolTable:
         self._kinds: list = [KIND_IVAR]
         self._index = {"t": 0}
         self._relations: dict = {}    # radical index -> FieldElem radicand
+        self._radicals: tuple = ()    # radical indices, in declaration order
         self._derivs: dict = {}       # index -> FieldElem (defaults: t->1, else 0)
         self._square_rows: dict = {}  # F2 echelon {pivot: (class, root, root^2)}
 
@@ -555,6 +556,7 @@ class SymbolTable:
         i = len(self._names) - 1
         self._index[name] = i
         self._relations[i] = r
+        self._radicals += (i,)
         sym = self.sym(name)
         if q is not None:
             cls, acc_root, acc_square = self._reduce_square_class(q)
@@ -629,8 +631,9 @@ class SymbolTable:
     def relation(self, name: str) -> Optional["FieldElem"]:
         return self._relations.get(self.index(name))
 
-    def radical_indices(self) -> list:
-        return sorted(self._relations)
+    def radical_indices(self) -> tuple:
+        """The radical indices, increasing: declaration order is index order."""
+        return self._radicals
 
     def derivative_of(self, i: int) -> "FieldElem":
         if i == 0:

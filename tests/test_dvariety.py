@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from painlevekit.errors import (
     ConstraintError,
@@ -16,6 +20,7 @@ from painlevekit.dvariety import (
     DarbouxCertificate,
     DVectorField,
     SearchBounds,
+    _integer_kernel,
     apply_derivation,
     clear_denominators,
     darboux_search,
@@ -320,3 +325,48 @@ def test_first_integrals_empty_for_first_family(tab):
 
 def test_first_integrals_zero_bounds_empty(tab):
     assert first_integral_search(d1(tab), SearchBounds(0, 0)) == []
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel against sympy
+
+_DENOMINATORS = st.integers(1, 10**6) | st.sampled_from([999983, 2**31 - 1])
+_ENTRIES = st.just(Fraction(0)) | st.builds(
+    Fraction, st.integers(-10**6, 10**6), _DENOMINATORS)
+
+
+@st.composite
+def _rational_systems(draw):
+    """(ncols, rows): `rank` random rational rows, then up to three rows
+    that are small integer combinations of them, in a random order; a
+    zero entry is as likely as any other, so some rows are sparse."""
+    ncols = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, ncols))
+    nrows = draw(st.integers(rank, rank + 3))
+    rows = [draw(st.lists(_ENTRIES, min_size=ncols, max_size=ncols))
+            for _ in range(rank)]
+    for _ in range(nrows - rank):
+        mix = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+        rows.append([sum((m * row[c] for m, row in zip(mix, rows)), Fraction(0))
+                     for c in range(ncols)])
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_rational_systems())
+@example((3, []))                                           # no rows
+@example((3, [[Fraction(0)] * 3] * 2))                      # all-zero rows
+@example((2, [[Fraction(1, 999983), Fraction(2)],           # full column rank
+              [Fraction(3), Fraction(-5, 2**31 - 1)],
+              [Fraction(7, 10**6), Fraction(0)]]))
+def test_integer_kernel_matches_sympy_nullspace(system):
+    ncols, rows = system
+    den = lcm(1, *(v.denominator for row in rows for v in row))
+    int_rows = [[int(v * den) for v in row] for row in rows]
+    given_rows = [list(row) for row in int_rows]
+    oracle = sympy.Matrix(len(rows), ncols,
+                          [sympy.Rational(v.numerator, v.denominator)
+                           for row in rows for v in row]).nullspace()
+    want = [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in oracle]
+    assert _integer_kernel(int_rows, ncols) == want
+    assert int_rows == given_rows

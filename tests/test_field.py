@@ -320,6 +320,21 @@ def test_radical_of_parameter():
     assert s.d().is_zero()
 
 
+def test_radical_indices_increase_in_declaration_order():
+    tab = SymbolTable()
+    a = tab.declare_param("a")
+    s2 = tab.declare_radical("s2", 2)
+    tab.declare_param("b")
+    tab.declare_radical("sa", a)
+    with pytest.raises(RadicalDeclarationError):
+        tab.declare_radical("r8", 8)  # 2*s2 is a square root already
+    tab.declare_radical("u", s2 + 1)
+    idx = tab.radical_indices()
+    assert list(idx) == [tab.index(n) for n in ("s2", "sa", "u")]
+    assert all(i < j for i, j in zip(idx, idx[1:]))
+    assert "r8" not in tab.names
+
+
 def test_perfect_square_radicand_rejected():
     tab = SymbolTable()
     with pytest.raises(RadicalDeclarationError):

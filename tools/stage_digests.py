@@ -2,16 +2,21 @@
 
     PYTHONPATH=src python3 tools/stage_digests.py 1 2 3 4 5
 
-Runs one round of the perfbench `search` workload for each seed given and
-prints one line per call of the mod-p candidate filter: the seed, the
-operation, the candidate count, and SHA-256 digests of the stage array of
-``_accel.eigen_stages`` and of the keep mask of
-``_accel.darboux_candidate_flags``.  Two checkouts decide every candidate
-at every stage alike exactly when their outputs are equal, so a change to
-the filter's arithmetic is checked by running this on both and comparing.
+Runs one round of the perfbench `search` workload for each seed given.
+For each call of the mod-p candidate filter it prints one line: the seed,
+the operation, the candidate count, and SHA-256 digests of the filter's
+inputs A_mod and B_mod, of the stage array of ``_accel.eigen_stages`` and
+of the keep mask of ``_accel.darboux_candidate_flags``.  For each
+operation it then prints the certificates found, one line each, sorted by
+their strings.  Two checkouts build the same systems, decide every
+candidate at every stage alike and certify the same polynomials exactly
+when their outputs are equal, so a change to the search is checked by
+running this on both and comparing; ``tools/stage_digests.sha256`` pins
+the output for seeds 1 2 3.
 """
 
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -34,12 +39,14 @@ def main(seeds):
 
     def stages(A, B, cand, p):
         out = eigen_stages(A, B, cand, p)
-        calls.append([len(cand), _digest(out)])
+        calls[-1].append("stages=" + _digest(out))
         return out
 
     def kept(A, B, cand, p=_accel.MOD_P):
+        calls.append([len(cand), "x".join(map(str, B.shape)),
+                      "A=" + _digest(A), "B=" + _digest(B)])
         out = flags(A, B, cand, p)
-        calls[-1].append(_digest(out))
+        calls[-1].append("keep=" + _digest(out))
         return out
 
     _accel.eigen_stages, _accel.darboux_candidate_flags = stages, kept
@@ -47,15 +54,26 @@ def main(seeds):
         for seed in seeds:
             work = workloads.Search(seed)
             for family, params in work.round:
-                work.run((family, params))
+                certs = work.run((family, params))
                 name = family + "(" + ", ".join(
                     f"{k}={v}" for k, v in sorted(params.items())) + ")"
                 for call in calls:
-                    print(seed, name, *call)
+                    print(seed, name, "filter", *call)
                 calls.clear()
+                for P, G in sorted(work.summarise((family, params), certs)):
+                    print(seed, name, "cert", f"P={P}", f"G={G}")
     finally:
         _accel.eigen_stages, _accel.darboux_candidate_flags = eigen_stages, flags
 
 
 if __name__ == "__main__":
-    main([int(s) for s in sys.argv[1:]] or [1])
+    try:
+        main([int(s) for s in sys.argv[1:]] or [1])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped reading: end quietly, with stdout on the null
+        # device so that the flush at exit has no pipe to report either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.exit(1)
