@@ -9,7 +9,8 @@ table rather than deciding for itself.  Values are represented as reduced
 fractions of sparse multivariate polynomials with Fraction coefficients.
 Integer coefficients are used in one place, the polynomial gcd: _pgcd
 clears the denominators of its operands once, runs the primitive PRS over
-Z[symbols], and makes the result monic over Q at the end; the generic
+Z[symbols], and makes the result monic over Q at the end (an operand of
+one term needs no PRS: the gcd is then a monomial); the generic
 _padd, _pmul and _pdiv_exact serve both coefficient types.  The
 representation is private to this module: other modules read coefficients
 through FieldElem.t_coefficients, FieldElem.complex_t_coefficients and
@@ -47,6 +48,9 @@ Canonicalization skips the work that cannot change this form:
   denominator is monic.  Operands with radicals take the full path: their
   product may hold s^2, and rewriting it through s^2 = r and clearing s
   from the denominator change both sides after any cross-cancellation;
+* a gcd with a one-term operand, such as a denominator a*b, is the
+  componentwise minimum of the exponents of both operands, since a
+  monomial's only divisors are monomials;
 * coprime by a mod-p image: an unmetered gcd, and the cosmetic cancellation
   of PhaseRational, first map both operands to F_p[v], p = 2^31 - 1, for
   each symbol v both use, the other symbols at fixed values, and take the
@@ -387,10 +391,19 @@ def _primitive(a: dict) -> dict:
 def _pgcd(a: dict, b: dict, budget=None) -> dict:
     """Monic gcd in Q[symbols], by _zgcd on the primitive parts over Z.
 
-    With a budget ([units left]) the work is metered and
+    When both are nonzero and one has a single term, the gcd is closed
+    form: a monomial's only divisors are monomials, so it is the largest
+    monomial dividing every term of both, the componentwise minimum of
+    their exponents (Knuth, TAOCP vol. 2, 4.6.1).  That takes O(terms)
+    work and charges no units, metered or not.
+
+    Otherwise, with a budget ([units left]) the work is metered and
     _CancelBudgetExceeded is raised once it runs out; without one the gcd
     runs to the end, as canonicalization needs.
     """
+    if a and b and (len(a) == 1 or len(b) == 1):
+        # zip stops at the shortest tuple: stripped zeros are minima there
+        return {_strip(tuple(map(min, zip(*a, *b)))): Fraction(1)}
     g = _zgcd(_primitive(a), _primitive(b), budget)
     if not g:
         return {}
@@ -446,16 +459,19 @@ def _rat_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _square_class(q: Fraction) -> set:
-    """The class of q in Q*/Q*^2: its primes of odd exponent, with -1 for
-    the sign.  Empty exactly for positive squares (and for 0)."""
-    m = q.numerator * q.denominator  # q and m differ by the square den^2
-    out = set()
-    if m < 0:
-        out.add(-1)
-        m = -m
-    d = 2
-    while d * d <= m:
+# trial division takes the primes below _TRIAL_LIMIT; a cofactor below
+# _MR_EXACT_BELOW is then split by rho, its prime leaves told by
+# Miller-Rabin on the first 13 prime bases, which is exact below
+# 3.317e24 (Sorenson and Webster, Math. Comp. 2017)
+_TRIAL_LIMIT = 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _trial_divide(m: int, out: set, d: int, stop=None) -> int:
+    """Divide the primes d <= p < stop (no limit for None) out of m while
+    p * p <= m, adding to out each of odd exponent; returns the rest."""
+    while d * d <= m and (stop is None or d < stop):
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -464,8 +480,86 @@ def _square_class(q: Fraction) -> set:
             if e % 2:
                 out.add(d)
         d += 1
-    if m > 1:
-        out.add(m)
+    return m
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES for odd n > 41: exact below
+    _MR_EXACT_BELOW, and never False for a prime."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard's rho with Brent's
+    cycle search (BIT 1980), products of 64 differences per gcd, and the
+    next constant c when the cycle closes on n itself."""
+    c = 0
+    while True:
+        c += 1
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys, q = y, 1
+                for _ in range(min(64, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 64
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _square_class(q: Fraction) -> set:
+    """The class of q in Q*/Q*^2: its primes of odd exponent, with -1 for
+    the sign.  Empty exactly for positive squares (and for 0).
+
+    The class of a product is the symmetric difference of its factors'
+    classes, so the cofactor left by trial division is split by rho and
+    each prime leaf toggled.  A cofactor from _MR_EXACT_BELOW up is trial
+    divided to the end instead.
+    """
+    m = q.numerator * q.denominator  # q and m differ by the square den^2
+    out = set()
+    if m < 0:
+        out.add(-1)
+        m = -m
+    m = _trial_divide(m, out, 2, _TRIAL_LIMIT)
+    if m >= _MR_EXACT_BELOW:
+        m = _trial_divide(m, out, _TRIAL_LIMIT)
+    parts = [m]
+    while parts:
+        m = parts.pop()
+        if m < _TRIAL_LIMIT**2 or _is_prime(m):
+            # free of primes below _TRIAL_LIMIT, a smaller m is 1 or a prime
+            if m > 1:
+                out ^= {m}
+        else:
+            f = _rho_divisor(m)
+            parts += (f, m // f)
     return out
 
 
@@ -1411,7 +1505,8 @@ def _phase_cancel(num: PhasePoly, den: PhasePoly):
     ones.  The cancellation is cosmetic, so its gcd is metered: past
     _CANCEL_CAP units of work the quotient is kept as built, with a DEBUG
     record on the painlevekit logger, as it is at once when _coprime_mod_p
-    proves the two sides coprime.
+    proves the two sides coprime.  When one side has a single term the gcd
+    is closed form (see _pgcd) and costs no units.
     """
     table = num.table
     n = len(table)

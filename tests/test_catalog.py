@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -421,6 +422,15 @@ def test_reduce_p4_radical_branch():
     # -beta/2 = 1/2 is not a perfect square: branches carry a radical
     assert len(red.branches) == 2
     assert classify("S4", red.params).verdict == STRONGLY_MINIMAL
+
+
+def test_reduce_with_a_large_prime_radicand_is_fast():
+    # -beta/2 = 10000000000037 is prime: Miller-Rabin tells it without
+    # trial division up to its square root
+    start = time.perf_counter()
+    red = reduce_parameters("P4", {"alpha": 1, "beta": -2 * 10000000000037})
+    assert time.perf_counter() - start < 0.05
+    assert [(name, r.as_fraction()) for name, r in red.relations] == [("s", 10000000000037)]
 
 
 def test_reduce_reuses_a_radical_already_on_the_table():

@@ -653,6 +653,37 @@ def test_metered_gcd_takes_no_shortcut(monkeypatch):
     assert len(checks) == 1
 
 
+def test_quotient_by_a_monomial_runs_no_prs(monkeypatch):
+    tab = SymbolTable()
+    a = tab.declare_param("a")
+    t = tab.t()
+    x = t**2 * a + 3 * a**2 * t
+    gcds, prs = _counting(monkeypatch, "_pgcd"), _counting(monkeypatch, "_zgcd")
+    q = x / (2 * a * t**2)
+    assert gcds and prs == []
+    monkeypatch.undo()
+    assert q == parse("(t + 3*a)/(2*t)", tab)
+
+
+def test_metered_gcd_with_a_one_term_operand_spends_no_units(monkeypatch):
+    a = {(2, 1): Fraction(1), (1, 2): Fraction(-3, 2), (1, 1, 4): Fraction(5)}
+    b = {(3, 1, 1): Fraction(7, 3)}
+    g = field._zgcd(field._primitive(a), field._primitive(b))
+    units = []
+    spend = field._spend
+
+    def counted(budget, n):
+        units.append(n)
+        return spend(budget, n)
+
+    monkeypatch.setattr(field, "_spend", counted)
+    for p, q in ((a, b), (b, a)):
+        budget = [field._CANCEL_CAP]
+        assert field._pgcd(p, q, budget) == {(1, 1): Fraction(1)} == g
+        assert budget == [field._CANCEL_CAP]
+    assert units == []
+
+
 def test_cancel_budget_is_private_to_its_quotient(monkeypatch):
     # thread A is held inside its metered gcd while this thread does
     # FieldElem arithmetic, whose gcds (435 units) exceed A's cap of 200: they

@@ -4,8 +4,9 @@ The property tests draw random elements of Q(t, a, b), and of the same
 field extended by one radical s with s^2 = 2/a, and compare +, -, *, /,
 d(), _pgcd, exact_divide, coeff_d and common_denominator with sympy's
 cancel, gcd, diff and lcm, complex_t_coefficients with eval_complex,
-and check that the mod-p coprimality certificate _coprime_mod_p answers
-True only for operands whose sympy gcd is 1.
+_square_class with factorint, and check that the mod-p coprimality
+certificate _coprime_mod_p answers True only for operands whose sympy gcd
+is 1.
 Radical results are compared modulo the relation a*s^2 - 2.  Besides the
 value, every result must be in canonical form: coprime numerator and
 denominator, a monic denominator free of s, s to the power at most 1, and
@@ -232,6 +233,55 @@ def test_pgcd_matches_sympy(f, g, h):
 @given(*(_polys((2, 2, 2), coeffs=_LARGE_COEFFS) for _ in range(3)))
 def test_pgcd_with_large_denominators_matches_sympy(f, g, h):
     _assert_pgcd_matches_sympy(f, g, h)
+
+
+_MIXED_COEFFS = st.one_of(st.integers(-5, 5), _SMALL_COEFFS).filter(bool)
+# b's exponent tuples reach two symbols past a's four, and may be ()
+_ONE_TERM = st.dictionaries(
+    st.lists(st.integers(0, 3), max_size=6).map(tuple).map(field._strip),
+    _MIXED_COEFFS, min_size=1, max_size=1)
+
+
+@ORACLE
+@given(_polys((2, 2, 2, 2), min_size=1, max_size=4, coeffs=_MIXED_COEFFS), _ONE_TERM)
+def test_pgcd_with_a_one_term_operand_is_the_prs_gcd(a, b):
+    # the closed form equals the primitive PRS, made monic, and sympy's gcd
+    g = field._zgcd(field._primitive(a), field._primitive(b))
+    lc = field._plead(g)[1]
+    prs = {e: F(c, lc) for e, c in g.items()}
+    for p, q in ((a, b), (b, a)):
+        assert field._pgcd(p, q) == prs
+        assert field._pgcd(p, q, [field._CANCEL_CAP]) == prs
+    gens = sympy.symbols("x0:6")
+    ref = sympy.Poly(sympy.gcd(_sym_poly(a, gens), _sym_poly(b, gens)), *gens)
+    assert sympy.expand(_sym_poly(prs, gens) - ref.as_expr() / ref.LC()) == 0
+
+
+def _square_class_by_sympy(m):
+    primes = {p for p, k in sympy.factorint(abs(m)).items() if k % 2}
+    return primes | {-1} if m < 0 else primes
+
+
+@ORACLE
+@given(st.lists(st.tuples(st.integers(2, 10**12), st.integers(1, 4)), max_size=4),
+       st.sampled_from((1, -1)), st.integers(1, 30))
+def test_square_class_matches_factorint(factors, sign, den):
+    # random primes up to 10^12 with random exponents, kept below the bound
+    # where Miller-Rabin is exact and the cofactor is split by rho
+    m = 1
+    for n, k in factors:
+        p = sympy.prevprime(n + 1)
+        if m * den * p**k < field._MR_EXACT_BELOW:
+            m *= p**k
+    q = F(sign * m, den)
+    assert field._square_class(q) == _square_class_by_sympy(q.numerator * q.denominator)
+
+
+def test_square_class_of_large_prime_powers_matches_factorint():
+    # 1009^9 * 10007 passes _MR_EXACT_BELOW and is trial divided to the end
+    p, r = sympy.prevprime(10**12), sympy.nextprime(10**11)
+    for m in (3 * p**2, -2 * p * r, 7**3 * r**2, -2 * 10000000000037, 1009**9 * 10007):
+        assert field._square_class(F(m)) == _square_class_by_sympy(m)
 
 
 @ORACLE
