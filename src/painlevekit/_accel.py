@@ -32,14 +32,16 @@ The integrator is Dormand-Prince 5(4) on Python complex and float
 scalars.  ``compile_rhs`` turns the compiled system into the source of one
 straight-line function that returns both right-hand-side components,
 computes each power of x, y and t once, and binds the coefficients by name
-in its namespace; ``exec`` compiles it once per ``dopri5_path`` call.  The
-loop keeps the operation order it had when it ran on numpy scalars, so
-trajectories are bit for bit what they were.  Python's complex ``*`` and
-``+`` round as numpy's scalar ones do; the tableau and the step enter as
-complex numbers, so that no float meets a complex stage value (numpy
-multiplied those as complex, Python 3.14 multiplies them part by part).
-``r ** 2`` and ``err ** -0.2`` call the same libm ``pow``.  Python's complex ``/`` does not: numpy
-divides by Smith's method scaled by a reciprocal, so the quotient by a
+in its namespace; ``exec`` compiles it once per instance, since
+``numint.integrate`` keeps the function on the instance and hands it to
+every ``dopri5_path`` call.  The loop keeps the operation order it had
+when it ran on numpy scalars, so trajectories are bit for bit what they
+were.  Python's complex ``*`` and ``+`` round as numpy's scalar ones do;
+the tableau and the step enter as complex numbers, so that no float meets
+a complex stage value (numpy multiplied those as complex, Python 3.14
+multiplies them part by part).  ``r ** 2`` and ``err ** -0.2`` call the
+same libm ``pow``.  Python's complex ``/`` does not: numpy divides by
+Smith's method scaled by a reciprocal, so the quotient by a
 denominator in t, and the unit direction of each segment, are computed by
 that formula (``_cdiv``).  Where numpy returned inf or nan, Python raises
 (float division by zero, ``abs`` or ``**`` past the float range); the loop
@@ -668,8 +670,8 @@ def _dopri5_core(rhs, wps, y0, x0, tol, maxsteps):
     return ts, ys, xs, status, t_est
 
 
-def dopri5_path(fex, fco, gex, gco, den, wps, y0, x0, tol, maxsteps=MAX_STEPS):
-    """Integrate along the polyline; returns (t, y, x lists, status, t_est)."""
-    rhs = compile_rhs(fex, fco, gex, gco, den)
+def dopri5_path(rhs, wps, y0, x0, tol, maxsteps=MAX_STEPS):
+    """Integrate the system rhs, made by ``compile_rhs``, along the
+    polyline; returns (t, y, x lists, status, t_est)."""
     wps = np.asarray(wps, np.complex128).tolist()
     return _dopri5_core(rhs, wps, complex(y0), complex(x0), float(tol), int(maxsteps))

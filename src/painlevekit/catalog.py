@@ -99,14 +99,14 @@ class PainleveInstance:
     x'-component) pair; derivation is the matching vector field with
     e = 1.  hamiltonian_convention records which sign convention the
     stored Hamiltonian satisfies against the stored system ("minus",
-    "plus", or None when neither holds).  The numeric form of the system,
-    compiled by the first numint.integrate on the instance, is kept for
-    the next ones.
+    "plus", or None when neither holds).  The numeric form of the system
+    and the right-hand-side function generated from it, both made by the
+    first numint.integrate on the instance, are kept for the next ones.
     """
 
     __slots__ = ("family", "table", "params", "second_order", "system",
                  "derivation", "hamiltonian", "hamiltonian_convention", "notes",
-                 "_compiled")
+                 "_compiled", "_rhs")
 
     def __init__(self, family, table, params, second_order, system,
                  derivation, hamiltonian, hamiltonian_convention, notes):
@@ -119,8 +119,10 @@ class PainleveInstance:
         self.hamiltonian = hamiltonian
         self.hamiltonian_convention = hamiltonian_convention
         self.notes = tuple(notes)
-        # numint.compile_system's arrays, read-only; None until integrated
+        # numint.compile_system's arrays, read-only, and the function
+        # _accel.compile_rhs makes of them; None until integrated
         self._compiled = None
+        self._rhs = None
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))

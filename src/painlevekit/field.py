@@ -459,19 +459,22 @@ def _rat_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-# trial division takes the primes below _TRIAL_LIMIT; a cofactor below
-# _MR_EXACT_BELOW is then split by rho, its prime leaves told by
-# Miller-Rabin on the first 13 prime bases, which is exact below
-# 3.317e24 (Sorenson and Webster, Math. Comp. 2017)
+# trial division takes the primes below _TRIAL_LIMIT; the cofactor is then
+# split by rho, its prime leaves told by Miller-Rabin on the first 13 prime
+# bases, which is exact below 3.317e24 (Sorenson and Webster, Math. Comp.
+# 2017), and from there up by BPSW: Miller-Rabin to base 2 and a strong
+# Lucas test (Baillie and Wagstaff, Math. Comp. 1980), with no
+# counterexample known
 _TRIAL_LIMIT = 1000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
-def _trial_divide(m: int, out: set, d: int, stop=None) -> int:
-    """Divide the primes d <= p < stop (no limit for None) out of m while
-    p * p <= m, adding to out each of odd exponent; returns the rest."""
-    while d * d <= m and (stop is None or d < stop):
+def _trial_divide(m: int, out: set) -> int:
+    """Divide the primes p < _TRIAL_LIMIT out of m while p * p <= m, adding
+    to out each of odd exponent; returns the rest."""
+    d = 2
+    while d * d <= m and d < _TRIAL_LIMIT:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -483,24 +486,86 @@ def _trial_divide(m: int, out: set, d: int, stop=None) -> int:
     return m
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on _MR_BASES for odd n > 41: exact below
-    _MR_EXACT_BELOW, and never False for a prime."""
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin to base a for odd n > a; never False for a prime."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters for odd n > 5:
+    D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4; never False for a prime."""
+    if math.isqrt(n) ** 2 == n:  # no such D exists
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) < n:  # D shares a factor with n
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(v):
+        return (v + n if v % 2 else v) // 2 % n
+
+    # U_k, V_k and Q^k for k the leading bits of d, doubling k per bit
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V = U * V % n, (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = half(U + V), half(D * U + V)
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _is_prime(n: int) -> bool:
+    """Whether the odd n > 41 is prime: Miller-Rabin on _MR_BASES below
+    _MR_EXACT_BELOW, exact there, and BPSW from there up; never False for
+    a prime."""
+    if n < _MR_EXACT_BELOW:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
 def _rho_divisor(n: int) -> int:
@@ -533,23 +598,37 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
+def _power_root(m: int):
+    """(r, k) with m = r**k for the least k >= 2, which is prime, or None
+    when m is no such power; m must be free of primes below 512."""
+    for k in range(2, m.bit_length() // 9 + 1):
+        x = 1 << -(-m.bit_length() // k)  # Newton from above the root
+        while True:
+            y = ((k - 1) * x + m // x ** (k - 1)) // k
+            if y >= x:
+                break
+            x = y
+        if x**k == m:
+            return x, k
+    return None
+
+
 def _square_class(q: Fraction) -> set:
     """The class of q in Q*/Q*^2: its primes of odd exponent, with -1 for
     the sign.  Empty exactly for positive squares (and for 0).
 
     The class of a product is the symmetric difference of its factors'
     classes, so the cofactor left by trial division is split by rho and
-    each prime leaf toggled.  A cofactor from _MR_EXACT_BELOW up is trial
-    divided to the end instead.
+    each prime leaf toggled.  A perfect power r**k is not given to rho,
+    which would need about sqrt(r) steps: it is dropped for even k and
+    replaced by r for odd k.
     """
     m = q.numerator * q.denominator  # q and m differ by the square den^2
     out = set()
     if m < 0:
         out.add(-1)
         m = -m
-    m = _trial_divide(m, out, 2, _TRIAL_LIMIT)
-    if m >= _MR_EXACT_BELOW:
-        m = _trial_divide(m, out, _TRIAL_LIMIT)
+    m = _trial_divide(m, out)
     parts = [m]
     while parts:
         m = parts.pop()
@@ -558,8 +637,12 @@ def _square_class(q: Fraction) -> set:
             if m > 1:
                 out ^= {m}
         else:
-            f = _rho_divisor(m)
-            parts += (f, m // f)
+            power = _power_root(m)
+            if power is None:
+                f = _rho_divisor(m)
+                parts += (f, m // f)
+            elif power[1] % 2:
+                parts.append(power[0])
     return out
 
 

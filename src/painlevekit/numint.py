@@ -111,27 +111,53 @@ class Trajectory:
     samples is a tuple of (t, y, x) complex triples; status is one of
     Completed, PoleDetected, SingularityAborted.  t_est estimates the
     pole location when status is PoleDetected and is None otherwise.
+    waypoints is the tuple of the integration path's waypoints, or None
+    for a trajectory built by hand.
     """
 
-    __slots__ = ("samples", "status", "t_est", "tolerance", "family", "_rhs")
+    __slots__ = ("samples", "status", "t_est", "tolerance", "family",
+                 "waypoints", "_rhs", "_arrays", "_fractions")
 
-    def __init__(self, samples, status, t_est, tolerance, family, rhs=None):
+    def __init__(self, samples, status, t_est, tolerance, family, rhs=None,
+                 waypoints=None):
         self.samples = tuple(samples)
         self.status = status
         self.t_est = t_est
         self.tolerance = tolerance
         self.family = family
+        self.waypoints = waypoints
         self._rhs = rhs
+        self._arrays = None
+        self._fractions = None
 
     def __len__(self):
         return len(self.samples)
 
     def arrays(self):
-        """(t, y, x) as three complex numpy arrays."""
-        ts = np.array([s[0] for s in self.samples], dtype=np.complex128)
-        ys = np.array([s[1] for s in self.samples], dtype=np.complex128)
-        xs = np.array([s[2] for s in self.samples], dtype=np.complex128)
-        return ts, ys, xs
+        """(t, y, x) as three complex numpy arrays.
+
+        They are built on the first call and are read-only, so every call
+        returns the same three arrays.
+        """
+        if self._arrays is None:
+            ts = np.array([s[0] for s in self.samples], dtype=np.complex128)
+            ys = np.array([s[1] for s in self.samples], dtype=np.complex128)
+            xs = np.array([s[2] for s in self.samples], dtype=np.complex128)
+            for a in (ts, ys, xs):
+                a.flags.writeable = False
+            self._arrays = (ts, ys, xs)
+        return self._arrays
+
+    def _arclength(self):
+        """Arclength along the sampled polyline in t at each sample, as a
+        fraction of the whole; built once, read-only."""
+        if self._fractions is None:
+            seg = np.abs(np.diff(self.arrays()[0]))
+            s = np.concatenate(([0.0], np.cumsum(seg)))
+            s /= s[-1]
+            s.flags.writeable = False
+            self._fractions = s
+        return self._fractions
 
     def y_prime(self, ts, ys, xs):
         """y' from the compiled right-hand side, never from differencing."""
@@ -325,8 +351,10 @@ def integrate(instance, initial, path, tol: float = 1e-9) -> Trajectory:
         for a in rhs:
             a.flags.writeable = False
         instance._compiled = rhs
+        instance._rhs = _accel.compile_rhs(*rhs)
     wps = np.array(path.waypoints, dtype=np.complex128)
-    ts, ys, xs, status, t_est = _accel.dopri5_path(*rhs, wps, y0, x0, float(tol))
+    ts, ys, xs, status, t_est = _accel.dopri5_path(instance._rhs, wps, y0, x0,
+                                                   float(tol))
 
     samples = list(zip(ts, ys, xs))
     if status == _accel.STATUS_COMPLETED:
@@ -335,7 +363,8 @@ def integrate(instance, initial, path, tol: float = 1e-9) -> Trajectory:
         label, est = POLE_DETECTED, t_est
     else:
         label, est = SINGULARITY_ABORTED, None
-    return Trajectory(samples, label, est, float(tol), instance.family, rhs)
+    return Trajectory(samples, label, est, float(tol), instance.family, rhs,
+                      path.waypoints)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +442,34 @@ def _default_basis(nvars: int, degree: int) -> list:
     """Every exponent vector of total degree <= degree, by degree then lex."""
     out = []
     for d in range(degree + 1):
+        block = []
         for picks in itertools.combinations_with_replacement(range(nvars), d):
             e = [0] * nvars
             for i in picks:
                 e[i] += 1
-            out.append(tuple(e))
-    return sorted(out, key=lambda e: (sum(e), e))
+            block.append(tuple(e))
+        # the picks come in lex order, so their exponent vectors in reverse
+        out += reversed(block)
+    return out
+
+
+def _constant(samples) -> bool:
+    """Whether there are samples and every one equals the first."""
+    if not samples:
+        return False
+    first = samples[0]
+    return all(s == first for s in samples)
+
+
+def _check_common_path(trajs) -> None:
+    """Refuse integrated trajectories that were not integrated along one
+    path.  A trajectory built by hand carries no waypoints and is not
+    checked."""
+    integrated = [tr.waypoints for tr in trajs if tr.waypoints is not None]
+    if any(w != integrated[0] for w in integrated[1:]):
+        raise ConstraintError(
+            "a probe of several trajectories needs them integrated along "
+            "the same path")
 
 
 def _resample(trajs, m: int):
@@ -427,9 +478,7 @@ def _resample(trajs, m: int):
     rows = []
     for tr in trajs:
         ts, ys, xs = tr.arrays()
-        seg = np.abs(np.diff(ts))
-        s = np.concatenate(([0.0], np.cumsum(seg)))
-        s /= s[-1]
+        s = tr._arclength()
 
         def lerp(v):
             return np.interp(grid, s, v.real) + 1j * np.interp(grid, s, v.imag)
@@ -446,6 +495,12 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
     norm), takes its smallest singular value, and reports a
     CandidateRelation exactly when that value drops below threshold.
     The verdict is a numerical heuristic, not a proof either way.
+
+    Several trajectories are compared at equal fractions of their
+    arclength, with the t column of the first, so integrated ones must
+    share their path's waypoints; anything else is a ConstraintError.
+    Trajectories built by hand are not checked.  A member that stopped
+    early (at a pole, say) is still stretched over the whole range.
     """
     if isinstance(trajectories, Trajectory):
         trajectories = [trajectories]
@@ -455,6 +510,8 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
     if not (threshold > 0 and math.isfinite(threshold)):
         raise ConstraintError(
             f"threshold {threshold!r} is not a positive finite number")
+    if len(trajs) > 1:
+        _check_common_path(trajs)
 
     nvars = 1 + 2 * len(trajs)
     if basis is None:
@@ -477,7 +534,7 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
             raise ConstraintError("basis must not be empty")
         ncols = len(basis)
 
-    degenerate = any(len(set(tr.samples)) == 1 for tr in trajs)
+    degenerate = any(_constant(tr.samples) for tr in trajs)
     m = min(len(tr) for tr in trajs)
     if not degenerate and m < 2 * ncols:
         raise InsufficientSamplesError(
@@ -504,13 +561,18 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
         return cache[v]
 
     A = np.zeros((m, ncols), dtype=np.complex128)
+    ones = np.ones(m, dtype=np.complex128)
+    powers: dict = {}
     # a high power may overflow; its column norm is then not finite
     with np.errstate(over="ignore", invalid="ignore"):
         for j, e in enumerate(basis):
-            col = np.ones(m, dtype=np.complex128)
+            col = ones
             for v, k in enumerate(e):
                 if k:
-                    col = col * var(v) ** k
+                    p = powers.get((v, k))
+                    if p is None:
+                        p = powers[(v, k)] = var(v) ** k
+                    col = col * p
             A[:, j] = col
         norms = np.linalg.norm(A, axis=0)
     huge = np.flatnonzero(~np.isfinite(norms))

@@ -31,11 +31,13 @@ import cmath
 import contextlib
 import functools
 import pathlib
+import time
 from fractions import Fraction as F
 
 import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from painlevekit import catalog, dvariety, field, transforms
 from painlevekit.dvariety import DVectorField, SearchBounds
@@ -282,6 +284,37 @@ def test_square_class_of_large_prime_powers_matches_factorint():
     p, r = sympy.prevprime(10**12), sympy.nextprime(10**11)
     for m in (3 * p**2, -2 * p * r, 7**3 * r**2, -2 * 10000000000037, 1009**9 * 10007):
         assert field._square_class(F(m)) == _square_class_by_sympy(m)
+
+
+def test_square_class_above_the_miller_rabin_bound_matches_factorint():
+    # each cofactor here is from _MR_EXACT_BELOW up, where BPSW tells the
+    # prime leaves and rho splits the rest; powers of a 25-digit prime,
+    # out of rho's reach, are taken apart by their roots
+    p, r = sympy.prevprime(10**12), sympy.nextprime(10**11)
+    leaf = sympy.nextprime(7 * 10**24)
+    pair = sympy.nextprime(3 * 10**12) * sympy.prevprime(10**13)
+    for m in (2 * p * r**3, leaf, -5 * leaf**3, 3 * leaf**2, pair):
+        assert abs(m) >= field._MR_EXACT_BELOW
+        start = time.perf_counter()
+        got = field._square_class(F(m))
+        assert time.perf_counter() - start < 5.0
+        assert got == _square_class_by_sympy(m)
+
+
+def test_strong_lucas_test_matches_sympy():
+    # below 20000 the strong Lucas pseudoprimes are 5459, 5777, 10877,
+    # 16109 and 18971, all passed as sympy passes them
+    for n in range(7, 20000, 2):
+        assert field._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n)
+
+
+@ORACLE
+@given(st.integers(field._MR_EXACT_BELOW, 10**40))
+def test_bpsw_matches_sympy_isprime(n):
+    n |= 1
+    assert field._is_prime(n) == sympy.isprime(n)
+    q = sympy.nextprime(n)
+    assert field._is_prime(q)
 
 
 @ORACLE

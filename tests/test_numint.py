@@ -169,7 +169,7 @@ def test_step_cap_aborts_with_one_sample_per_step():
     # no step of this run is rejected before the 50th, so the capped run
     # keeps the start and one sample per step; uncapped, it goes further
     rhs = numint.compile_system(_s2(F(1, 2)))
-    args = rhs + ([1, 3], 0.3, 1.18, 1e-12)
+    args = (_accel.compile_rhs(*rhs), [1, 3], 0.3, 1.18, 1e-12)
     ts, ys, xs, status, t_est = _accel.dopri5_path(*args, maxsteps=50)
     assert status == _accel.STATUS_ABORTED
     assert len(ts) == len(ys) == len(xs) == 51
@@ -353,6 +353,75 @@ def test_two_trajectory_probe_resamples():
     assert abs(lab["y2"]) < 1e-6
     assert abs(lab["dy2"]) < 1e-6
     assert abs(lab["dy1"]) > 0.5
+
+
+def test_probe_refuses_trajectories_on_different_paths():
+    # sampled over different t, the pair would be compared at equal
+    # arclength fractions of two different segments
+    inst = _s2(F(1, 3))
+    a = integrate(inst, (1, 0.3, 0.1), PathSpec([1, 2]), tol=1e-10)
+    b = integrate(inst, (1, 0.2, 0.1), PathSpec([1, 1 + 1j]), tol=1e-10)
+    assert a.waypoints == (1, 2) and b.waypoints == (1, 1 + 1j)
+    with pytest.raises(ConstraintError, match="same path"):
+        relation_probe([a, b], degree=1)
+    with pytest.raises(ConstraintError, match="same path"):
+        relation_probe([a, a, b], degree=1)
+    # the same waypoints, written differently, are the same path
+    c = integrate(inst, (1, 0.2, 0.1), "1+0i,2+0i", tol=1e-10)
+    assert relation_probe([a, c], degree=1).verdict == numint.NO_RELATION_FOUND
+    # trajectories built by hand carry no waypoints and are not checked
+    bare = [Trajectory(tr.samples, tr.status, None, tr.tolerance, tr.family, tr._rhs)
+            for tr in (a, b)]
+    assert bare[0].waypoints is None
+    relation_probe(bare, degree=1)
+    relation_probe([a, bare[1]], degree=1)
+
+
+def _pairwise_probes(trajs):
+    return [relation_probe([trajs[i], trajs[j]])
+            for i in range(len(trajs)) for j in range(i + 1, len(trajs))]
+
+
+def test_pairwise_probes_repeat_bit_for_bit():
+    inst = _s2()
+    trajs = [integrate(inst, (1, y, x), PathSpec([1, 2.5]), tol=1e-12)
+             for y, x in ((0.3, 0), (0.1, 0), (0.2, 0.5), (-0.1, 0.3))]
+    fresh = [Trajectory(tr.samples, tr.status, tr.t_est, tr.tolerance, tr.family,
+                        tr._rhs, tr.waypoints) for tr in trajs]
+    runs = [_pairwise_probes(trajs), _pairwise_probes(trajs), _pairwise_probes(fresh)]
+    assert all(p.coefficients is not None for p in runs[0])
+    for run in runs[1:]:
+        for p, q in zip(runs[0], run):
+            assert p.sigma_min == q.sigma_min
+            assert p.coefficients == q.coefficients
+            assert p.basis == q.basis
+
+
+def test_trajectory_arrays_are_built_once_and_read_only():
+    tr = integrate(_s2(), (1, 0.3, 0), PathSpec([1, 2]), tol=1e-9)
+    arrays = tr.arrays()
+    assert all(a is b for a, b in zip(arrays, tr.arrays()))
+    for arr, k in zip(arrays, range(3)):
+        assert arr.tolist() == [s[k] for s in tr.samples]
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
+def test_instance_generates_its_right_hand_side_once(monkeypatch):
+    calls = []
+    compile_rhs = _accel.compile_rhs
+
+    def counted(*arrays):
+        calls.append(arrays)
+        return compile_rhs(*arrays)
+
+    monkeypatch.setattr(_accel, "compile_rhs", counted)
+    inst = _s2()
+    runs = [integrate(inst, (1, y, 0), PathSpec([1, 2]), tol=1e-9)
+            for y in (0.3, 0.2, 0.1)]
+    assert len(calls) == 1
+    assert all(tr.status == numint.COMPLETED for tr in runs)
 
 
 def test_probe_reports_threshold():

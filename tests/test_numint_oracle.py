@@ -91,8 +91,8 @@ def _runs():
 def _step_cap_run():
     # the run of test_step_cap_aborts_with_one_sample_per_step
     rhs = numint.compile_system(catalog.instantiate(*_FAMILIES["S2-parabola"]))
-    ts, ys, xs, status, t_est = _accel.dopri5_path(*rhs, [1, 3], 0.3, 1.18, 1e-12,
-                                                   maxsteps=50)
+    ts, ys, xs, status, t_est = _accel.dopri5_path(_accel.compile_rhs(*rhs), [1, 3],
+                                                   0.3, 1.18, 1e-12, maxsteps=50)
     assert status == _accel.STATUS_ABORTED
     return Trajectory(zip(ts, ys, xs), numint.SINGULARITY_ABORTED, None, 1e-12, "S2", rhs)
 
