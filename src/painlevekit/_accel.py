@@ -184,7 +184,7 @@ def _identity_rows(B0):
         return None
     rows = np.argmax(nz, axis=0)
     vals = B0[rows, np.arange(C)]
-    if not (vals == vals[0]).all() or np.unique(rows).size != C:
+    if not (vals == vals[0]).all() or (np.bincount(rows) > 1).any():
         return None
     return rows, int(vals[0])
 

@@ -48,6 +48,16 @@ Canonicalization skips the work that cannot change this form:
   denominator is monic.  Operands with radicals take the full path: their
   product may hold s^2, and rewriting it through s^2 = r and clearing s
   from the denominator change both sides after any cross-cancellation;
+* a rational operand, told by as_fraction from the shape of its dicts,
+  takes a closed form: two rationals add and multiply as one Fraction, a
+  rational k != 0 times n/d is (k*n)/d, already canonical (a unit keeps
+  the gcd 1, the denominator monic and free of radicals, and the term
+  order), a quotient by k is the product with 1/k, and d() of an element
+  over 1 is that of its numerator.  The canonical-forms fixture of
+  tests/test_field_oracle.py records every element built, intermediates
+  included, so a shortcut must not skip building one whose str() nothing
+  else builds: a difference still negates its subtrahend, and d() of any
+  other derivation constant still runs the quotient rule;
 * a gcd with a one-term operand, such as a denominator a*b, is the
   componentwise minimum of the exponents of both operands, since a
   monomial's only divisors are monomials;
@@ -826,13 +836,14 @@ class SymbolTable:
         return self.sym("t")
 
     def zero(self) -> "FieldElem":
-        return FieldElem(self, {}, _pconst(1))
+        return self.const(0)
 
     def one(self) -> "FieldElem":
-        return FieldElem(self, _pconst(1), _pconst(1))
+        return self.const(1)
 
     def const(self, c) -> "FieldElem":
-        return FieldElem(self, _pconst(c), _pconst(1))
+        # c or 0 over 1 is already canonical
+        return FieldElem(self, _pconst(c), _pconst(1), _canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -871,11 +882,16 @@ class FieldElem:
         return bool(self.num)
 
     def as_fraction(self) -> Optional[Fraction]:
-        """The value as a rational constant, or None if symbols remain."""
-        if not self.num:
-            return Fraction(0)
-        if set(self.num) <= {()} and set(self.den) <= {()}:
-            return self.num[()] / self.den[()]
+        """The value as a rational constant, or None if symbols remain.
+
+        A canonical element is rational exactly when its numerator is 0 or
+        a constant c and its denominator is constant, hence 1 (it is
+        monic): a test of the dicts' shapes, with no arithmetic, cheap
+        enough to guard the rational closed forms of + * / and d().
+        """
+        num = self.num
+        if _is_const(self.den) and (not num or _is_const(num)):
+            return num[()] if num else Fraction(0)
         return None
 
     def symbols_used(self, transitive: bool = True) -> set:
@@ -903,6 +919,9 @@ class FieldElem:
         if isinstance(other, (PhasePoly, PhaseRational)):
             return NotImplemented
         o = as_elem(self.table, other)
+        k, q = self.as_fraction(), o.as_fraction()
+        if k is not None and q is not None:
+            return self.table.const(k + q)
         return FieldElem(self.table,
                          _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
                          _pmul(self.den, o.den))
@@ -925,6 +944,11 @@ class FieldElem:
             return NotImplemented
         o = as_elem(self.table, other)
         table = self.table
+        k, q = self.as_fraction(), o.as_fraction()
+        if k is not None and q is not None:
+            return table.const(k * q)
+        if k is not None or q is not None:
+            return _scaled(o, k) if q is None else _scaled(self, q)
         if not _uses_radicals(table, self.num, self.den, o.num, o.den):
             return FieldElem(table, *_henrici_product(self.num, self.den, o.num, o.den),
                              _canonical=True)
@@ -938,6 +962,9 @@ class FieldElem:
         o = as_elem(self.table, other)
         if o.is_zero():
             raise DivisionByZeroError("division by zero field element")
+        q = o.as_fraction()
+        if q is not None:
+            return _scaled(self, 1 / q)
         table = self.table
         if not _uses_radicals(table, self.num, self.den, o.num, o.den):
             # o inverted: den/num, scaled so that its new denominator is monic
@@ -976,6 +1003,8 @@ class FieldElem:
     def d(self) -> "FieldElem":
         """Derivation of the field: quotient rule over the symbol derivatives."""
         dn = _poly_d(self.table, self.num)
+        if _is_const(self.den):
+            return dn  # a denominator 1: the quotient rule leaves dn
         dd = _poly_d(self.table, self.den)
         den_elem = FieldElem(self.table, self.den, _pconst(1))
         num_elem = FieldElem(self.table, self.num, _pconst(1))
@@ -1050,6 +1079,14 @@ class FieldElem:
 
     def __str__(self):
         return _elem_str(self.table, self.num, self.den)
+
+
+def _scaled(z: FieldElem, k: Fraction) -> FieldElem:
+    """k * z, canonical as built: a nonzero k keeps num and den coprime, the
+    denominator monic and free of radicals, and the terms in their order."""
+    if not k:
+        return z.table.zero()
+    return FieldElem(z.table, _pscale(z.num, k), z.den, _canonical=True)
 
 
 def common_denominator(table: SymbolTable, elems) -> FieldElem:

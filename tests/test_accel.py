@@ -344,6 +344,22 @@ def test_import_leaves_logging_unloaded():
     assert out.strip() == "[]"
 
 
+def test_search_leaves_numpy_ma_unloaded():
+    # numpy.ma costs several milliseconds of import in every command-line
+    # process; np.unique without return arguments would load it
+    code = ("import sys; from fractions import Fraction as F; "
+            "from painlevekit import catalog; "
+            "from painlevekit.dvariety import SearchBounds, darboux_search; "
+            "inst = catalog.instantiate('S2', {'alpha': F(-1, 2)}); "
+            "darboux_search(inst.derivation, SearchBounds(1, 0, 1)); "
+            "print('numpy.ma' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 # Certificate lists of the search with the full rank test alone, as
 # (str(P), str(G)) in result order.
 _S4_CURVES = [("x*y - y^2 + (-2*t)*y - 2", "x - 2*y + (-2*t)"),

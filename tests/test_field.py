@@ -665,6 +665,27 @@ def test_quotient_by_a_monomial_runs_no_prs(monkeypatch):
     assert q == parse("(t + 3*a)/(2*t)", tab)
 
 
+def test_rational_operands_take_closed_forms(monkeypatch):
+    # a rational times a rational or a radical element, and d() of a
+    # polynomial, need neither a cross-cancellation nor a gcd
+    tab = SymbolTable()
+    a = tab.declare_param("a")
+    s = tab.declare_radical("s", a + 1)
+    t = tab.t()
+    k = tab.const(Fraction(-3, 4))
+    z = (t * s + a) / (t + a)
+    p = t**3 * a - 2 * a**2 * t + 5
+    henrici = _counting(monkeypatch, "_henrici_product")
+    gcds = _counting(monkeypatch, "_pgcd")
+    got = k * Fraction(2, 3), k * z, z * k, z / k, p.d()
+    assert henrici == [] and gcds == []
+    monkeypatch.undo()
+    assert [str(v) for v in got] == [
+        "-1/2", "(-3/4*t*s - 3/4*a)/(t + a)", "(-3/4*t*s - 3/4*a)/(t + a)",
+        "(-4/3*t*s - 4/3*a)/(t + a)", "3*t^2*a - 2*a^2"]
+    assert got[1] == FieldElem(tab, field._pmul(k.num, z.num), z.den)
+
+
 def test_metered_gcd_with_a_one_term_operand_spends_no_units(monkeypatch):
     a = {(2, 1): Fraction(1), (1, 2): Fraction(-3, 2), (1, 1, 4): Fraction(5)}
     b = {(3, 1, 1): Fraction(7, 3)}

@@ -210,6 +210,26 @@ def test_derivation_matches_sympy(x):
     _assert_canonical(x.d(), sympy.diff(_sym(x), T))
 
 
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@ORACLE
+@given(TABLES.flatmap(lambda tab: st.tuples(_elems(tab), st.just(tab))), _RATIONALS, _RATIONALS)
+def test_rational_operands_match_sympy(case, k, k2):
+    # the closed forms: a rational scales the other operand, two rationals
+    # add as Fractions, and a polynomial's derivation is its numerator's
+    x, tab = case
+    q = sympy.Rational(k.numerator, k.denominator)
+    _assert_canonical(tab.const(k) * x, q * _sym(x))
+    _assert_canonical(x * k, _sym(x) * q)
+    if k:
+        _assert_canonical(x / k, _sym(x) / q)
+    _assert_canonical(tab.const(k) + k2, q + sympy.Rational(k2.numerator, k2.denominator))
+    _assert_canonical(x.d(), sympy.diff(_sym(x), T))
+    poly = FieldElem(tab, x.num, field._pconst(1))
+    _assert_canonical(poly.d(), sympy.diff(_sym(poly), T))
+
+
 def _assert_pgcd_matches_sympy(f, g, h):
     # the metered gcd, which takes no mod-p shortcut, gives the same result
     gens = GENS[id(QT)]
@@ -280,7 +300,7 @@ def test_square_class_matches_factorint(factors, sign, den):
 
 
 def test_square_class_of_large_prime_powers_matches_factorint():
-    # 1009^9 * 10007 passes _MR_EXACT_BELOW and is trial divided to the end
+    # 1009^9 * 10007 passes _MR_EXACT_BELOW; past the trial divisors, rho splits it
     p, r = sympy.prevprime(10**12), sympy.nextprime(10**11)
     for m in (3 * p**2, -2 * p * r, 7**3 * r**2, -2 * 10000000000037, 1009**9 * 10007):
         assert field._square_class(F(m)) == _square_class_by_sympy(m)
