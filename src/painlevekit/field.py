@@ -5,7 +5,11 @@ square roots declared through relations s^2 = r.  SymbolTable.root_of
 alone decides whether a square root is already in the field (a rational
 multiple of a product of declared radicals); declare_radical refuses a
 radicand that has one, and every module that takes square roots asks the
-table rather than deciding for itself.  Values are represented as reduced
+table rather than deciding for itself.  For a rational radicand it needs
+no primes: it refines |num*den| of the radicand and of the declared
+rational radicands into a coprime base by gcds alone, reads each square
+class as a bitmask over that base, and returns the product of declared
+radicals times a rational root >= 0.  Values are represented as reduced
 fractions of sparse multivariate polynomials with Fraction coefficients.
 Integer coefficients are used in one place, the polynomial gcd: _pgcd
 clears the denominators of its operands once, runs the primitive PRS over
@@ -469,191 +473,45 @@ def _rat_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-# trial division takes the primes below _TRIAL_LIMIT; the cofactor is then
-# split by rho, its prime leaves told by Miller-Rabin on the first 13 prime
-# bases, which is exact below 3.317e24 (Sorenson and Webster, Math. Comp.
-# 2017), and from there up by BPSW: Miller-Rabin to base 2 and a strong
-# Lucas test (Baillie and Wagstaff, Math. Comp. 1980), with no
-# counterexample known
-_TRIAL_LIMIT = 1000
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
-
-
-def _trial_divide(m: int, out: set) -> int:
-    """Divide the primes p < _TRIAL_LIMIT out of m while p * p <= m, adding
-    to out each of odd exponent; returns the rest."""
-    d = 2
-    while d * d <= m and d < _TRIAL_LIMIT:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            if e % 2:
-                out.add(d)
-        d += 1
-    return m
-
-
-def _strong_probable_prime(n: int, a: int) -> bool:
-    """Miller-Rabin to base a for odd n > a; never False for a prime."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    sign = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """The strong Lucas test with Selfridge's parameters for odd n > 5:
-    D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
-    Q = (1 - D)/4; never False for a prime."""
-    if math.isqrt(n) ** 2 == n:  # no such D exists
-        return False
-    D = 5
-    while True:
-        j = _jacobi(D, n)
-        if j == -1:
-            break
-        if j == 0 and abs(D) < n:  # D shares a factor with n
-            return False
-        D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-
-    def half(v):
-        return (v + n if v % 2 else v) // 2 % n
-
-    # U_k, V_k and Q^k for k the leading bits of d, doubling k per bit
-    U, V, Qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        U, V = U * V % n, (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
-        if bit == "1":
-            U, V = half(U + V), half(D * U + V)
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V = (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
-        if V == 0:
-            return True
-    return False
-
-
-def _is_prime(n: int) -> bool:
-    """Whether the odd n > 41 is prime: Miller-Rabin on _MR_BASES below
-    _MR_EXACT_BELOW, exact there, and BPSW from there up; never False for
-    a prime."""
-    if n < _MR_EXACT_BELOW:
-        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
-    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
-
-
-def _rho_divisor(n: int) -> int:
-    """A proper divisor of the odd composite n: Pollard's rho with Brent's
-    cycle search (BIT 1980), products of 64 differences per gcd, and the
-    next constant c when the cycle closes on n itself."""
-    c = 0
-    while True:
-        c += 1
-        y, r, g = 2, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys, q = y, 1
-                for _ in range(min(64, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 64
-            r *= 2
-        if g == n:  # the batch overshot: replay it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _power_root(m: int):
-    """(r, k) with m = r**k for the least k >= 2, which is prime, or None
-    when m is no such power; m must be free of primes below 512."""
-    for k in range(2, m.bit_length() // 9 + 1):
-        x = 1 << -(-m.bit_length() // k)  # Newton from above the root
-        while True:
-            y = ((k - 1) * x + m // x ** (k - 1)) // k
-            if y >= x:
+def _coprime_base(ms) -> list:
+    """Pairwise coprime integers > 1 of which each positive m in ms is a
+    product of powers: factor refinement (Bach, Driscoll and Shallit, J.
+    Algorithms 1993) replaces two elements with gcd g > 1 by g, a/g and
+    b/g, which lowers the product of all elements, until none share a
+    factor."""
+    base = []
+    todo = list(ms)
+    while todo:
+        a = todo.pop()
+        if a == 1:
+            continue
+        for k, b in enumerate(base):
+            g = math.gcd(a, b)
+            if g > 1:
+                del base[k]
+                todo += (g, a // g, b // g)
                 break
-            x = y
-        if x**k == m:
-            return x, k
-    return None
-
-
-def _square_class(q: Fraction) -> set:
-    """The class of q in Q*/Q*^2: its primes of odd exponent, with -1 for
-    the sign.  Empty exactly for positive squares (and for 0).
-
-    The class of a product is the symmetric difference of its factors'
-    classes, so the cofactor left by trial division is split by rho and
-    each prime leaf toggled.  A perfect power r**k is not given to rho,
-    which would need about sqrt(r) steps: it is dropped for even k and
-    replaced by r for odd k.
-    """
-    m = q.numerator * q.denominator  # q and m differ by the square den^2
-    out = set()
-    if m < 0:
-        out.add(-1)
-        m = -m
-    m = _trial_divide(m, out)
-    parts = [m]
-    while parts:
-        m = parts.pop()
-        if m < _TRIAL_LIMIT**2 or _is_prime(m):
-            # free of primes below _TRIAL_LIMIT, a smaller m is 1 or a prime
-            if m > 1:
-                out ^= {m}
         else:
-            power = _power_root(m)
-            if power is None:
-                f = _rho_divisor(m)
-                parts += (f, m // f)
-            elif power[1] % 2:
-                parts.append(power[0])
-    return out
+            base.append(a)
+    return base
+
+
+def _class_bits(q: Fraction, base: list) -> int:
+    """The class of q != 0 in Q*/Q*^2 as a bitmask over a coprime base of
+    |num*den| whose elements are no squares: bit 0 for the sign, bit j+1
+    for base[j] to an odd power.  For pairwise coprime b_j, a product of
+    powers b_j^e_j is a square exactly when every b_j of odd e_j is one,
+    so the mask is 0 exactly for positive squares."""
+    m = q.numerator * q.denominator  # q and m differ by the square den^2
+    bits = int(m < 0)
+    m = abs(m)
+    for j, b in enumerate(base):
+        e = 0
+        while m % b == 0:
+            m //= b
+            e += 1
+        bits |= (e & 1) << (j + 1)
+    return bits
 
 
 class SymbolTable:
@@ -675,7 +533,7 @@ class SymbolTable:
         self._relations: dict = {}    # radical index -> FieldElem radicand
         self._radicals: tuple = ()    # radical indices, in declaration order
         self._derivs: dict = {}       # index -> FieldElem (defaults: t->1, else 0)
-        self._square_rows: dict = {}  # F2 echelon {pivot: (class, root, root^2)}
+        self._rational_radicands: list = []  # (radical index, Fraction radicand)
 
     # -- declarations ------------------------------------------------------
 
@@ -744,58 +602,74 @@ class SymbolTable:
         self._index[name] = i
         self._relations[i] = r
         self._radicals += (i,)
-        sym = self.sym(name)
         if q is not None:
-            cls, acc_root, acc_square = self._reduce_square_class(q)
-            self._square_rows[max(cls)] = (cls, sym / acc_root, q / acc_square)
-        return sym
+            self._rational_radicands.append((i, q))
+        return self.sym(name)
 
     def root_of(self, radicand) -> Optional["FieldElem"]:
         """A square root of the radicand already in the field, or None.
 
         The one place that decides whether a square root needs a new
         radical.  A rational q has one when its square class (Q*/Q*^2) is a
-        product of the classes of declared rational radicands r_i: then
-        prod s_i * sqrt(q / prod r_i), the second factor rational (0 has 0).
-        Any other r has s_j * sqrt(r / r_j) for the first radical s_j whose
-        ratio r / r_j is rational with a root of that first kind, so a
-        product of one symbolic radical with rational ones is found (2*a
-        with sqrt(2) and sqrt(a) declared).  A product of several symbolic
-        radicands (a*b with sqrt(a) and sqrt(b) declared) is missed.
+        product of the classes of declared rational radicands r_i, i in E:
+        then prod s_i * sqrt(q / prod r_i), the second factor the rational
+        root >= 0 (0 has 0).  The declared classes are independent, so E
+        is unique, and the root does not depend on the order of
+        declaration.  Any other r has s_j * sqrt(r / r_j) for the first
+        radical s_j whose ratio r / r_j is rational with a root of that
+        first kind, so a product of one symbolic radical with rational ones
+        is found (2*a with sqrt(2) and sqrt(a) declared).  A product of
+        several symbolic radicands (a*b with sqrt(a) and sqrt(b) declared)
+        is missed.
         """
         r = as_elem(self, radicand)
         q = r.as_fraction()
         if q is not None:
-            cls, acc_root, acc_square = self._reduce_square_class(q)
-            return None if cls else acc_root * _rat_sqrt(q / acc_square)
+            return self._rational_root(q)
         for j, rj in self._relations.items():
             ratio = (r / rj).as_fraction()
             if ratio is None:
                 continue
-            cls, acc_root, acc_square = self._reduce_square_class(ratio)
-            if not cls:
-                return self.sym(self._names[j]) * acc_root * _rat_sqrt(ratio / acc_square)
+            root = self._rational_root(ratio)
+            if root is not None:
+                return self.sym(self._names[j]) * root
         return None
 
-    def _reduce_square_class(self, q: Fraction) -> tuple:
-        """Reduce the square class of q against the rational rows.
+    def _rational_root(self, q: Fraction) -> Optional["FieldElem"]:
+        """root_of for a rational q.
 
-        Returns (rest, root, square): root^2 = square is a product of
-        earlier rational radicands and q / square has the square class
-        rest, so an empty rest means q / square is a rational square.
+        The classes are bitmasks over a coprime base of |num*den| of q and
+        of the rational radicands (_class_bits), and an F2 echelon on them,
+        each row keyed by its leading bit and carrying the mask of the
+        radicands it sums, finds E.
         """
-        cls = _square_class(q)
-        acc_root = self.one()
-        acc_square = Fraction(1)
-        while cls:
-            row = self._square_rows.get(max(cls))
-            if row is None:
-                break
-            row_cls, row_root, row_square = row
-            cls ^= row_cls
-            acc_root = acc_root * row_root
-            acc_square = acc_square * row_square
-        return frozenset(cls), acc_root, acc_square
+        if not q:
+            return self.zero()
+        rads = self._rational_radicands
+        ms = (abs(x.numerator * x.denominator) for x in (q, *(r for _, r in rads)))
+        base = [b for b in _coprime_base(ms) if math.isqrt(b) ** 2 != b]
+        rows: dict = {}
+
+        def eliminate(bits, used):
+            while bits and bits.bit_length() in rows:
+                row_bits, row_used = rows[bits.bit_length()]
+                bits, used = bits ^ row_bits, used ^ row_used
+            return bits, used
+
+        for k, (_, r) in enumerate(rads):
+            bits, used = eliminate(_class_bits(r, base), 1 << k)
+            rows[bits.bit_length()] = (bits, used)
+        bits, used = eliminate(_class_bits(q, base), 0)
+        if bits:
+            return None
+        exps, square = [0] * len(self._names), Fraction(1)
+        for k, (i, r) in enumerate(rads):
+            if used >> k & 1:
+                exps[i] = 1
+                square *= r
+        # c * prod s_i with c != 0 rational: one term over 1, canonical
+        return FieldElem(self, {_strip(tuple(exps)): _rat_sqrt(q / square)}, _pconst(1),
+                         _canonical=True)
 
     # -- lookups -----------------------------------------------------------
 

@@ -152,7 +152,7 @@ def test_characteristic_polynomial_matches_term_loop(p, C):
 
 # SHA-256 (first 16 hex digits) of the stage array of each filter call of
 # darboux_search at SearchBounds(2, 1, 2), as computed with the reduction
-# above; tools/stage_digests.py prints the same digests for whole rounds
+# above; `tools/digests.py stage` prints the same digests for whole rounds
 _STAGE_DIGESTS = [
     ("S2", {"alpha": "1/2"}, "e5f70260981598b4"),
     ("S2", {"alpha": "-1/2"}, "5cc59a8c40f3c9d9"),

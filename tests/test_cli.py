@@ -572,6 +572,17 @@ def test_module_entry_point():
     assert rep["verdict"] == "StronglyMinimal"
 
 
+def test_large_scale_radicand_classifies_quickly():
+    # delta's 42-digit numerator reaches the radicand of mu^2 =
+    # -16/(gamma*delta), which root_of decides without factoring it
+    r = subprocess.run(
+        [sys.executable, "-m", "painlevekit.cli", "classify", "--family", "P3",
+         "--param", "alpha=3/4", "--param", "beta=-2", "--param", "gamma=-3/2",
+         "--param", "delta=300000000000000000122300000000000000002067"],
+        capture_output=True, text=True, timeout=5)
+    assert r.returncode == 0
+
+
 def test_closed_pipe_ends_quietly():
     # `probe ... --degree 40 --json | head -c 300`: the reader leaves long
     # before the 745 kB report is written, which once ended in a

@@ -4,7 +4,7 @@ The property tests draw random elements of Q(t, a, b), and of the same
 field extended by one radical s with s^2 = 2/a, and compare +, -, *, /,
 d(), _pgcd, exact_divide, coeff_d and common_denominator with sympy's
 cancel, gcd, diff and lcm, complex_t_coefficients with eval_complex,
-_square_class with factorint, and check that the mod-p coprimality
+SymbolTable.root_of with factorint, and check that the mod-p coprimality
 certificate _coprime_mod_p answers True only for operands whose sympy gcd
 is 1.
 Radical results are compared modulo the relation a*s^2 - 2.  Besides the
@@ -30,6 +30,7 @@ only when a change is meant to alter canonical forms.
 import cmath
 import contextlib
 import functools
+import math
 import pathlib
 import time
 from fractions import Fraction as F
@@ -37,10 +38,10 @@ from fractions import Fraction as F
 import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from painlevekit import catalog, dvariety, field, transforms
 from painlevekit.dvariety import DVectorField, SearchBounds
+from painlevekit.errors import RadicalDeclarationError
 from painlevekit.field import FieldElem, PhasePoly, SymbolTable, exact_divide
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "canonical_forms.txt"
@@ -284,57 +285,117 @@ def _square_class_by_sympy(m):
     return primes | {-1} if m < 0 else primes
 
 
+def _cofactor(root, table):
+    # root / prod s_i over the radicals root uses: the rational factor
+    radicals = table.one()
+    for i in root.symbols_used(False):
+        radicals = radicals * table.sym(table.names[i])
+    return (root / radicals).as_fraction()
+
+
+# 13-base Miller-Rabin is exact below this bound (Sorenson and Webster,
+# Math. Comp. 2017); the inputs below reach past it
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _assert_root_of_matches_factorint(q):
+    # sqrt(q) is in Q(sqrt(p) : p in the class of q) as a product of all of
+    # them, and it is missing from the field without any one of them
+    cls = sorted(_square_class_by_sympy(q.numerator * q.denominator))
+    table = SymbolTable()
+    for k, p in enumerate(cls):
+        table.declare_radical(f"r{k}", p)
+    root = table.root_of(q)
+    assert root is not None and root * root == q
+    assert root.symbols_used(False) == set(range(1, len(cls) + 1))  # t is symbol 0
+    assert _cofactor(root, table) >= 0
+    for skip in cls:
+        table = SymbolTable()
+        for k, p in enumerate(cls):
+            if p != skip:
+                table.declare_radical(f"r{k}", p)
+        assert table.root_of(q) is None
+
+
 @ORACLE
 @given(st.lists(st.tuples(st.integers(2, 10**12), st.integers(1, 4)), max_size=4),
        st.sampled_from((1, -1)), st.integers(1, 30))
 def test_square_class_matches_factorint(factors, sign, den):
     # random primes up to 10^12 with random exponents, kept below the bound
-    # where Miller-Rabin is exact and the cofactor is split by rho
     m = 1
     for n, k in factors:
         p = sympy.prevprime(n + 1)
-        if m * den * p**k < field._MR_EXACT_BELOW:
+        if m * den * p**k < _MR_EXACT_BELOW:
             m *= p**k
-    q = F(sign * m, den)
-    assert field._square_class(q) == _square_class_by_sympy(q.numerator * q.denominator)
+    _assert_root_of_matches_factorint(F(sign * m, den))
 
 
 def test_square_class_of_large_prime_powers_matches_factorint():
-    # 1009^9 * 10007 passes _MR_EXACT_BELOW; past the trial divisors, rho splits it
     p, r = sympy.prevprime(10**12), sympy.nextprime(10**11)
     for m in (3 * p**2, -2 * p * r, 7**3 * r**2, -2 * 10000000000037, 1009**9 * 10007):
-        assert field._square_class(F(m)) == _square_class_by_sympy(m)
+        _assert_root_of_matches_factorint(F(m))
 
 
 def test_square_class_above_the_miller_rabin_bound_matches_factorint():
-    # each cofactor here is from _MR_EXACT_BELOW up, where BPSW tells the
-    # prime leaves and rho splits the rest; powers of a 25-digit prime,
-    # out of rho's reach, are taken apart by their roots
+    # large primes, their powers and a product of two 13-digit primes, none
+    # of which the coprime base needs to split
     p, r = sympy.prevprime(10**12), sympy.nextprime(10**11)
     leaf = sympy.nextprime(7 * 10**24)
     pair = sympy.nextprime(3 * 10**12) * sympy.prevprime(10**13)
     for m in (2 * p * r**3, leaf, -5 * leaf**3, 3 * leaf**2, pair):
-        assert abs(m) >= field._MR_EXACT_BELOW
+        assert abs(m) >= _MR_EXACT_BELOW
         start = time.perf_counter()
-        got = field._square_class(F(m))
+        _assert_root_of_matches_factorint(F(m))
         assert time.perf_counter() - start < 5.0
-        assert got == _square_class_by_sympy(m)
 
 
-def test_strong_lucas_test_matches_sympy():
-    # below 20000 the strong Lucas pseudoprimes are 5459, 5777, 10877,
-    # 16109 and 18971, all passed as sympy passes them
-    for n in range(7, 20000, 2):
-        assert field._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n)
+def _reduce_by(rows, cls):
+    # rows: F2 echelon of prime classes, {largest prime: class}
+    while cls and max(cls) in rows:
+        cls = cls ^ rows[max(cls)]
+    return cls
+
+
+_RADICAND_PRIMES = (2, 3, 5, 7, 11, 999_983, 1_000_003, int(sympy.nextprime(10**12)))
+_PRODUCTS = st.lists(st.sampled_from(_RADICAND_PRIMES), max_size=4).map(math.prod)
+_RADICANDS = st.builds(lambda sign, num, den: F(sign * num, den),
+                       st.sampled_from((1, -1)), _PRODUCTS, _PRODUCTS)
 
 
 @ORACLE
-@given(st.integers(field._MR_EXACT_BELOW, 10**40))
-def test_bpsw_matches_sympy_isprime(n):
-    n |= 1
-    assert field._is_prime(n) == sympy.isprime(n)
-    q = sympy.nextprime(n)
-    assert field._is_prime(q)
+@given(st.lists(_RADICANDS, min_size=1, max_size=6), st.lists(_RADICANDS, min_size=1, max_size=4))
+def test_root_of_matches_sympy_span(radicands, queries):
+    # a rational radicand is declared, and a rational query has a root,
+    # exactly when its class is outside, resp. inside, the F2 span of the
+    # declared classes, with sympy's factorint telling the classes; the
+    # root squares to the query over a rational factor >= 0
+    table, rows = SymbolTable(), {}
+    for k, r in enumerate(radicands):
+        cls = _reduce_by(rows, frozenset(_square_class_by_sympy(r.numerator * r.denominator)))
+        try:
+            table.declare_radical(f"r{k}", r)
+        except RadicalDeclarationError:
+            assert not cls
+            continue
+        assert cls
+        rows[max(cls)] = cls
+    for q in queries:
+        cls = _reduce_by(rows, frozenset(_square_class_by_sympy(q.numerator * q.denominator)))
+        root = table.root_of(q)
+        assert (root is not None) == (not cls)
+        if root is not None:
+            assert root * root == q
+            assert _cofactor(root, table) >= 0
+
+
+def test_root_of_takes_a_positive_rational_factor():
+    # with s1^2 = -a*b and s2^2 = b, sqrt(-a) = s1*s2/b, whichever of a
+    # and b holds the larger prime
+    for a, b in ((2, 3), (3, 2), (7, 15), (15, 7)):
+        table = SymbolTable()
+        s1 = table.declare_radical("s1", -a * b)
+        s2 = table.declare_radical("s2", b)
+        assert table.root_of(-a) == s1 * s2 / b
 
 
 @ORACLE
