@@ -126,8 +126,7 @@ def kernel_flags_numpy(A, B, cand, p):
         g = cand[s:s + chunk]
         n = g.shape[0]
         M = (A[None, :, :] - np.tensordot(g, B, axes=(1, 0))) % p
-        rank = np.zeros(n, np.int64)
-        row = np.zeros(n, np.int64)
+        row = np.zeros(n, np.int64)  # pivots placed so far: the rank
         for col in range(C):
             colv = M[:, :, col]
             avail = (rr[None, :] >= row[:, None]) & (colv != 0)
@@ -152,8 +151,7 @@ def kernel_flags_numpy(A, B, cand, p):
             Mi = (Mi - fact[:, :, None] * pivrow[:, None, :]) % p
             M[ns] = Mi
             row[ns] += 1
-            rank[ns] += 1
-        out[s:s + chunk] = rank < C
+        out[s:s + chunk] = row < C
     return out
 
 

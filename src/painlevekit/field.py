@@ -14,8 +14,9 @@ fractions of sparse multivariate polynomials with Fraction coefficients.
 Integer coefficients are used in one place, the polynomial gcd: _pgcd
 clears the denominators of its operands once, runs the primitive PRS over
 Z[symbols], and makes the result monic over Q at the end (an operand of
-one term needs no PRS: the gcd is then a monomial); the generic
-_padd, _pmul and _pdiv_exact serve both coefficient types.  The
+one term needs no PRS: the gcd is then a monomial).  The dict kernel
+(_padd, _pmul, _pdiv_exact, ...) uses only +, *, / and truth tests on
+coefficients, so it serves Z, Q and K alike: PhasePoly runs on it too.  The
 representation is private to this module: other modules read coefficients
 through FieldElem.t_coefficients, FieldElem.complex_t_coefficients and
 common_denominator, so a change of format touches this file alone.
@@ -775,11 +776,7 @@ class FieldElem:
         radicands, so "depends on a parameter" is visible even through
         square roots.
         """
-        out = set()
-        for e in list(self.num) + list(self.den):
-            for i, k in enumerate(e):
-                if k:
-                    out.add(i)
+        out = _vars_used(self.num) | _vars_used(self.den)
         if transitive:
             # a radicand uses only earlier symbols: one descending pass
             for i in reversed(self.table.radical_indices()):
@@ -1112,11 +1109,20 @@ def as_phase(table: SymbolTable, v) -> "PhasePoly":
     raise TypeError(f"cannot coerce {type(v).__name__} to PhasePoly")
 
 
+def as_rational(table: SymbolTable, v) -> "PhaseRational":
+    if isinstance(v, PhaseRational):
+        if v.table is not table:
+            raise ValueError("mixing symbol tables")
+        return v
+    return PhaseRational.from_poly(as_phase(table, v))
+
+
 class PhasePoly:
     """Sparse polynomial in x, y, u1, u2 with FieldElem coefficients.
 
     Keys are 4-tuples of exponents in the order (x, y, u1, u2); no zero
-    coefficients are stored.
+    coefficients are stored.  Sums, exact division, partials and the term
+    order run on the module's dict kernel.
     """
 
     __slots__ = ("table", "terms", "_hash")
@@ -1172,12 +1178,9 @@ class PhasePoly:
         Meaningful for coefficients polynomial in t; denominators in t
         count as not-polynomial and raise.
         """
-        d = 0
-        for c in self.terms.values():
-            if any(_exp_get(e, 0) for e in c.den):
-                raise NotDivisibleError("coefficient has a denominator in t")
-            d = max(d, max((_exp_get(e, 0) for e in c.num), default=0))
-        return d
+        if any(_deg_in(c.den, 0) for c in self.terms.values()):
+            raise NotDivisibleError("coefficient has a denominator in t")
+        return max((_deg_in(c.num, 0) for c in self.terms.values()), default=0)
 
     def coefficient(self, e: tuple) -> FieldElem:
         return self.terms.get(tuple(e), self.table.zero())
@@ -1187,21 +1190,13 @@ class PhasePoly:
     def __add__(self, other):
         if isinstance(other, PhaseRational):
             return NotImplemented
-        o = as_phase(self.table, other)
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return PhasePoly(self.table, out, _clean=True)
+        return PhasePoly(self.table, _padd(self.terms, as_phase(self.table, other).terms),
+                         _clean=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PhasePoly(self.table, {e: -c for e, c in self.terms.items()}, _clean=True)
+        return PhasePoly(self.table, _pneg(self.terms), _clean=True)
 
     def __sub__(self, other):
         if isinstance(other, PhaseRational):
@@ -1215,6 +1210,7 @@ class PhasePoly:
         if isinstance(other, PhaseRational):
             return NotImplemented
         o = as_phase(self.table, other)
+        # fixed-width sums: via _pmul, _emul took 2.5 times the calls and `exact` ran ~2% slower
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
@@ -1272,14 +1268,7 @@ class PhasePoly:
     # -- calculus ------------------------------------------------------------
 
     def partial(self, name: str) -> "PhasePoly":
-        i = PHASE_VARS.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ee = list(e)
-                ee[i] -= 1
-                out[tuple(ee)] = c * e[i]
-        return PhasePoly(self.table, out)
+        return _phase_poly(self.table, _pderiv_formal(self.terms, PHASE_VARS.index(name)))
 
     def coeff_d(self) -> "PhasePoly":
         """P^d: the derivation applied to every coefficient."""
@@ -1313,11 +1302,10 @@ class PhasePoly:
     # -- ordering / printing ---------------------------------------------------
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return list(_grlex_sorted(self.terms).items())
 
     def leading(self):
-        e = max(self.terms, key=lambda ee: (sum(ee), ee))
-        return e, self.terms[e]
+        return _plead(self.terms)
 
     def monic(self) -> "PhasePoly":
         if not self.terms:
@@ -1329,7 +1317,7 @@ class PhasePoly:
         return f"PhasePoly({self})"
 
     def __str__(self):
-        return _phase_str(self)
+        return _join_terms(_phase_term(e, c) for e, c in self.sorted_terms())
 
 
 def exact_divide(p: PhasePoly, d: PhasePoly) -> Optional[PhasePoly]:
@@ -1338,29 +1326,14 @@ def exact_divide(p: PhasePoly, d: PhasePoly) -> Optional[PhasePoly]:
     Single-divisor reduction under grlex; since coefficients live in a
     field, the remainder vanishes iff d divides p.
     """
-    if d.is_zero():
-        raise DivisionByZeroError("division by the zero polynomial")
-    table = p.table
-    q: dict = {}
-    r = dict(p.terms)
-    ed, cd = d.leading()
-    while r:
-        er = max(r, key=lambda ee: (sum(ee), ee))
-        cr = r[er]
-        diff = tuple(er[i] - ed[i] for i in range(4))
-        if any(k < 0 for k in diff):
-            return None
-        c = cr / cd
-        q[diff] = q.get(diff, table.zero()) + c
-        piece = PhasePoly(table, {diff: c}, _clean=True) * d
-        for e, cc in piece.terms.items():
-            s = r.get(e)
-            s = -cc if s is None else s - cc
-            if s.is_zero():
-                r.pop(e, None)
-            else:
-                r[e] = s
-    return PhasePoly(table, q)
+    q = _pdiv_exact(p.terms, d.terms)
+    return None if q is None else _phase_poly(p.table, q)
+
+
+def _phase_poly(table: SymbolTable, terms: dict) -> PhasePoly:
+    # a kernel result: its keys stripped, so padded back to 4-tuples; no zero
+    # coefficient, since c*k (k > 0) and cr/cb of nonzero c, cr are nonzero
+    return PhasePoly(table, {_pad(e, 4): c for e, c in terms.items()}, _clean=True)
 
 
 class PhaseRational:
@@ -1405,11 +1378,7 @@ class PhaseRational:
         return q
 
     def _coerce(self, other) -> "PhaseRational":
-        if isinstance(other, PhaseRational):
-            if other.table is not self.table:
-                raise ValueError("mixing symbol tables")
-            return other
-        return PhaseRational.from_poly(as_phase(self.table, other))
+        return as_rational(self.table, other)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -1514,12 +1483,10 @@ def _phase_cancel(num: PhasePoly, den: PhasePoly):
         for c in p.terms.values():
             mult = _pmul(mult, c.den)
         for e, c in p.terms.items():
-            scaled_num = _pmul(c.num, _pdiv_exact(mult, c.den))
-            for se, f in scaled_num.items():
-                key = _strip(e + _pad(se, n))
-                s = out.get(key)
-                out[key] = f if s is None else s + f
-        return {k: v for k, v in out.items() if v}, mult
+            # distinct (e, se) make distinct keys, and _pmul stores no zeros
+            for se, f in _pmul(c.num, _pdiv_exact(mult, c.den)).items():
+                out[_strip(e + _pad(se, n))] = f
+        return out, mult
 
     fn, mn = flatten(num)
     fd, md = flatten(den)
@@ -1602,10 +1569,6 @@ def membership_test(v: FieldElem, which: str) -> str:
 # printing
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _mono_str(e: tuple, names) -> str:
     parts = []
     for i, k in enumerate(e):
@@ -1616,32 +1579,35 @@ def _mono_str(e: tuple, names) -> str:
     return "*".join(parts)
 
 
-def _poly_str(table: SymbolTable, p: dict) -> str:
-    if not p:
-        return "0"
-    n = len(table)
-    items = _grlex_sorted(p).items()
+def _rat_term(c: Fraction, mono: str) -> tuple:
+    # (negative, text of |c|*mono) for a rational c != 0
+    mag = abs(c)
+    if not mono:
+        return c < 0, str(mag)
+    return c < 0, mono if mag == 1 else f"{mag}*{mono}"
+
+
+def _join_terms(terms) -> str:
+    # signed (negative, text) terms, the first one carrying its own sign
     out = []
-    for idx, (e, c) in enumerate(items):
-        mono = _mono_str(_pad(e, n), table.names)
-        mag = abs(c)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{_frac_str(mag)}*{mono}"
-        else:
-            body = _frac_str(mag)
-        if idx == 0:
-            out.append(body if c > 0 else f"-{body}")
-        else:
-            out.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(out)
+    for neg, body in terms:
+        if out:
+            out.append(" - " if neg else " + ")
+        elif neg:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"
+
+
+def _poly_str(table: SymbolTable, p: dict) -> str:
+    names = table.names
+    return _join_terms(_rat_term(c, _mono_str(e, names)) for e, c in _grlex_sorted(p).items())
 
 
 def _elem_str(table: SymbolTable, num: dict, den: dict) -> str:
     ns = _poly_str(table, num)
-    if den == _pconst(1):
-        return ns
+    if _is_const(den):
+        return ns  # a constant denominator is 1, being monic
     ds = _poly_str(table, den)
     if len(num) > 1 or (num and next(iter(num.values())) < 0):
         ns = f"({ns})"
@@ -1650,31 +1616,12 @@ def _elem_str(table: SymbolTable, num: dict, den: dict) -> str:
     return f"{ns}/{ds}"
 
 
-def _phase_str(p: PhasePoly) -> str:
-    if not p.terms:
-        return "0"
-    out = []
-    for idx, (e, c) in enumerate(p.sorted_terms()):
-        mono = _mono_str(e, PHASE_VARS)
-        q = c.as_fraction()
-        if q is not None:
-            mag = abs(q)
-            neg = q < 0
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{_frac_str(mag)}*{mono}"
-            else:
-                body = _frac_str(mag)
-        else:
-            neg = False
-            cs = f"({c})"
-            body = f"{cs}*{mono}" if mono else cs
-        if idx == 0:
-            out.append(f"-{body}" if neg else body)
-        else:
-            out.append(f" - {body}" if neg else f" + {body}")
-    return "".join(out)
+def _phase_term(e: tuple, c: FieldElem) -> tuple:
+    mono = _mono_str(e, PHASE_VARS)
+    q = c.as_fraction()
+    if q is not None:
+        return _rat_term(q, mono)
+    return False, f"({c})*{mono}" if mono else f"({c})"
 
 
 # ---------------------------------------------------------------------------

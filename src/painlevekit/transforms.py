@@ -16,25 +16,14 @@ for.  Throughout this module the phase variable x stands for y' inside
 second-order right-hand sides and dependent-map expressions.
 """
 
-from typing import Optional
-
 from .errors import ConstraintError, MapInverseError, RadicalDeclarationError
-from .field import (KIND_PARAM, FieldElem, PhasePoly, PhaseRational, SymbolTable, as_elem,
-                    as_phase)
+from .field import KIND_PARAM, FieldElem, PhaseRational, SymbolTable, as_elem, as_rational
 
 MATCH = "Match"
 MISMATCH = "Mismatch"
 
 CONVENTION_MINUS = "minus"
 CONVENTION_PLUS = "plus"
-
-
-def _as_rational(table, v) -> PhaseRational:
-    if isinstance(v, PhaseRational):
-        if v.table is not table:
-            raise ValueError("mixing symbol tables")
-        return v
-    return PhaseRational.from_poly(as_phase(table, v))
 
 
 def _no_uvars(r: PhaseRational, what: str):
@@ -93,7 +82,7 @@ class VariableMap:
     def dependent(cls, table, phi, psi, relations=(), label=""):
         """x = phi(y, y', t) with supplied inverse y' = psi(y, x, t)."""
         return cls(table, "dependent",
-                   phi=_as_rational(table, phi), psi=_as_rational(table, psi),
+                   phi=as_rational(table, phi), psi=as_rational(table, psi),
                    relations=relations, label=label)
 
     @classmethod
@@ -101,8 +90,8 @@ class VariableMap:
                relations=(), label=""):
         """Y = expr(y, t), T = sigma(t); inverse is y = inverse(Y, T) if given."""
         return cls(table, "scalar",
-                   expr=_as_rational(table, expr),
-                   inverse=None if inverse is None else _as_rational(table, inverse),
+                   expr=as_rational(table, expr),
+                   inverse=None if inverse is None else as_rational(table, inverse),
                    sigma=None if sigma is None else as_elem(table, sigma),
                    time_inverse=None if time_inverse is None else as_elem(table, time_inverse),
                    relations=relations, label=label)
@@ -111,11 +100,11 @@ class VariableMap:
     def point(cls, table, comps, sigma=None, inverse=None, time_inverse=None,
               relations=(), label=""):
         """(Y, X) = comps(y, x, t), T = sigma(t); inverse a pair if given."""
-        comps = tuple(_as_rational(table, c) for c in comps)
+        comps = tuple(as_rational(table, c) for c in comps)
         if len(comps) != 2:
             raise ConstraintError("point map needs exactly two components")
         if inverse is not None:
-            inverse = tuple(_as_rational(table, c) for c in inverse)
+            inverse = tuple(as_rational(table, c) for c in inverse)
             if len(inverse) != 2:
                 raise ConstraintError("point map inverse needs exactly two components")
         return cls(table, "point", comps=comps, inverse=inverse,
@@ -170,14 +159,14 @@ def _system_pair(instance):
     if sys is None:
         raise ConstraintError(f"{getattr(instance, 'family', '?')} carries no system form")
     table = instance.table
-    return _as_rational(table, sys[0]), _as_rational(table, sys[1])
+    return as_rational(table, sys[0]), as_rational(table, sys[1])
 
 
 def _second_order(instance):
     r = getattr(instance, "second_order", None)
     if r is None:
         raise ConstraintError(f"{getattr(instance, 'family', '?')} carries no second-order form")
-    return _as_rational(instance.table, r)
+    return as_rational(instance.table, r)
 
 
 def verify_transform(source, vmap: VariableMap, target) -> TransformReport:
@@ -236,10 +225,10 @@ def hamiltonian_check(H, system, convention: str = CONVENTION_MINUS) -> Transfor
     if convention not in (CONVENTION_MINUS, CONVENTION_PLUS):
         raise ConstraintError(f"unknown convention {convention!r}")
     table = H.table
-    h = _as_rational(table, H)
+    h = as_rational(table, H)
     _no_uvars(h, "Hamiltonian")
-    f = _as_rational(table, system[0])
-    g = _as_rational(table, system[1])
+    f = as_rational(table, system[0])
+    g = as_rational(table, system[1])
     res1 = f - h.partial("x")
     hy = h.partial("y")
     res2 = g + hy if convention == CONVENTION_MINUS else g - hy

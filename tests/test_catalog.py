@@ -425,8 +425,8 @@ def test_reduce_p4_radical_branch():
 
 
 def test_reduce_with_a_large_prime_radicand_is_fast():
-    # -beta/2 = 10000000000037 is prime: Miller-Rabin tells it without
-    # trial division up to its square root
+    # -beta/2 = 10000000000037 is prime: root_of's coprime base decides its
+    # square class by gcds, without trial division up to its square root
     start = time.perf_counter()
     red = reduce_parameters("P4", {"alpha": 1, "beta": -2 * 10000000000037})
     assert time.perf_counter() - start < 0.05

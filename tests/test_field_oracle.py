@@ -3,7 +3,8 @@
 The property tests draw random elements of Q(t, a, b), and of the same
 field extended by one radical s with s^2 = 2/a, and compare +, -, *, /,
 d(), _pgcd, exact_divide, coeff_d and common_denominator with sympy's
-cancel, gcd, diff and lcm, complex_t_coefficients with eval_complex,
+cancel, gcd, diff and lcm, PhasePoly +, -, partial and the term order of
+its str(), complex_t_coefficients with eval_complex,
 SymbolTable.root_of with factorint, and check that the mod-p coprimality
 certificate _coprime_mod_p answers True only for operands whose sympy gcd
 is 1.
@@ -293,8 +294,9 @@ def _cofactor(root, table):
     return (root / radicals).as_fraction()
 
 
-# 13-base Miller-Rabin is exact below this bound (Sorenson and Webster,
-# Math. Comp. 2017); the inputs below reach past it
+# the bound below which 13-base Miller-Rabin is exact (Sorenson and Webster,
+# Math. Comp. 2017): root_of uses no primality test, and the inputs below
+# reach past the bound to show that nothing in it stops there
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
@@ -501,8 +503,11 @@ def test_nested_tower_arithmetic_matches_evaluation(xf, yf):
         _assert_value(quot, xv / yv, point, abs(xv / yv))
 
 
+_XY = sympy.symbols("x y")
+
+
 def _sym_phase(P: PhasePoly):
-    X, Y = sympy.symbols("x y")
+    X, Y = _XY
     return sympy.Add(*(_sym(c) * X ** e[0] * Y ** e[1] for e, c in P.terms.items()))
 
 
@@ -534,6 +539,60 @@ def test_coeff_d_matches_sympy(P):
         dc = out.coefficient(e)
         _assert_canonical(dc, sympy.diff(_sym(c), T))
     assert set(out.terms) <= set(P.terms)
+
+
+def _assert_phase_matches(P: PhasePoly, ref):
+    """P has exactly the nonzero x, y terms of ref, each canonical."""
+    want = {(i, j, 0, 0): c for (i, j), c in sympy.Poly(ref, *_XY).as_dict().items()}
+    assert set(P.terms) == set(want)
+    for e, c in want.items():
+        _assert_canonical(P.terms[e], c)
+
+
+def _str_exponents(text: str) -> list:
+    """The phase exponents of the terms of a PhasePoly's str(), in order."""
+    terms, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and text[i:i + 3] in (" + ", " - "):
+            terms.append(text[start:i])
+            start = i + 3
+    terms.append(text[start:])
+    out = []
+    for term in terms:
+        term = term.lstrip("-")
+        if term.startswith("("):
+            # a coefficient outside Q: the parenthesized element, then *monomial
+            close, depth = 0, 0
+            for close, ch in enumerate(term):
+                depth += (ch == "(") - (ch == ")")
+                if depth == 0:
+                    break
+            term = term[close + 1:].lstrip("*")
+        e = [0, 0, 0, 0]
+        for factor in term.split("*") if term else ():
+            name, _, k = factor.partition("^")
+            if name in field.PHASE_VARS:
+                e[field.PHASE_VARS.index(name)] = int(k or 1)
+        out.append(tuple(e))
+    return out
+
+
+@ORACLE
+@given(TABLES.flatmap(lambda tab: st.tuples(_phase_polys(tab), _phase_polys(tab))))
+def test_phase_sums_and_partials_match_sympy(pair):
+    p, q = pair
+    sp, sq = _sym_phase(p), _sym_phase(q)
+    X, Y = _XY
+    # (p + q) - q cancels every term of q that p lacks
+    for got, ref in ((p + q, sp + sq), (p - q, sp - sq), (-p, -sp), ((p + q) - q, sp),
+                     (p.partial("x"), sympy.diff(sp, X)), (p.partial("y"), sympy.diff(sp, Y))):
+        _assert_phase_matches(got, ref)
+    for P in (p, q, p + q):
+        if not P:
+            assert str(P) == "0"
+            continue
+        assert _str_exponents(str(P)) == sorted(P.terms, key=lambda e: (sum(e), e), reverse=True)
 
 
 # ---------------------------------------------------------------------------
