@@ -66,13 +66,13 @@ Canonicalization skips the work that cannot change this form:
 * a gcd with a one-term operand, such as a denominator a*b, is the
   componentwise minimum of the exponents of both operands, since a
   monomial's only divisors are monomials;
-* coprime by a mod-p image: an unmetered gcd, and the cosmetic cancellation
-  of PhaseRational, first map both operands to F_p[v], p = 2^31 - 1, for
-  each symbol v both use, the other symbols at fixed values, and take the
-  gcd to be 1 when every image gcd has degree 0.  A common factor uses
-  some such v, and where the image of an operand's leading coefficient in
-  v is nonzero, the factor's image keeps its degree in v and divides both
-  images (Gauss's lemma over Z_(p); Brown, J. ACM 1971).
+* coprime by a mod-p image: every gcd that would run the PRS, metered or
+  not, first maps both operands to F_p[v], p = 2^31 - 1, for each symbol v
+  both use, the other symbols at fixed values, and takes the gcd to be 1
+  when every image gcd has degree 0.  A common factor uses some such v,
+  and where the image of an operand's leading coefficient in v is nonzero,
+  the factor's image keeps its degree in v and divides both images
+  (Gauss's lemma over Z_(p); Brown, J. ACM 1971).
 
 A small recursive-descent parser and a canonical printer round-trip the
 text grammar: rational literals, symbol names, + - * / ^ and parentheses,
@@ -412,9 +412,9 @@ def _pgcd(a: dict, b: dict, budget=None) -> dict:
     their exponents (Knuth, TAOCP vol. 2, 4.6.1).  That takes O(terms)
     work and charges no units, metered or not.
 
-    Otherwise, with a budget ([units left]) the work is metered and
-    _CancelBudgetExceeded is raised once it runs out; without one the gcd
-    runs to the end, as canonicalization needs.
+    Otherwise _zgcd runs: with a budget ([units left]) its work is metered
+    and _CancelBudgetExceeded is raised once it runs out; without one the
+    gcd runs to the end, as canonicalization needs.
     """
     if a and b and (len(a) == 1 or len(b) == 1):
         # zip stops at the shortest tuple: stripped zeros are minima there
@@ -428,8 +428,10 @@ def _pgcd(a: dict, b: dict, budget=None) -> dict:
 
 def _zgcd(a: dict, b: dict, budget=None) -> dict:
     """Primitive gcd of a and b in Z[symbols], by the primitive PRS (Knuth,
-    TAOCP vol. 2, 4.6.1, Algorithm E).  Unmetered, a mod-p image check
-    first returns 1 at once for operands it proves coprime.
+    TAOCP vol. 2, 4.6.1, Algorithm E).  Every call, metered or not, asks
+    _coprime_mod_p first and returns 1 at once, charging no units, for
+    operands it proves coprime.  The content gcds of the PRS are calls of
+    _zgcd too, so the check settles the coprime ones.
     """
     if not a:
         return _primitive(b)
@@ -438,7 +440,7 @@ def _zgcd(a: dict, b: dict, budget=None) -> dict:
     used = _vars_used(a) | _vars_used(b)
     if not used:
         return {(): 1}
-    if budget is None and _coprime_mod_p(a, b):
+    if _coprime_mod_p(a, b):
         return {(): 1}
     _spend(budget, len(a) + len(b))
     v = max(used)
@@ -1121,8 +1123,8 @@ class PhasePoly:
     """Sparse polynomial in x, y, u1, u2 with FieldElem coefficients.
 
     Keys are 4-tuples of exponents in the order (x, y, u1, u2); no zero
-    coefficients are stored.  Sums, exact division, partials and the term
-    order run on the module's dict kernel.
+    coefficients are stored.  Sums, products, scaling, exact division,
+    partials and the term order run on the module's dict kernel.
     """
 
     __slots__ = ("table", "terms", "_hash")
@@ -1209,20 +1211,10 @@ class PhasePoly:
     def __mul__(self, other):
         if isinstance(other, PhaseRational):
             return NotImplemented
-        o = as_phase(self.table, other)
-        # fixed-width sums: via _pmul, _emul took 2.5 times the calls and `exact` ran ~2% slower
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return PhasePoly(self.table, out, _clean=True)
+        # _emul of two 4-tuples is a 4-tuple, and no 4-tuple key is the
+        # constant () that _pmul's shortcut looks for
+        return PhasePoly(self.table, _pmul(self.terms, as_phase(self.table, other).terms),
+                         _clean=True)
 
     __rmul__ = __mul__
 
@@ -1248,17 +1240,15 @@ class PhasePoly:
         return q
 
     def scale(self, c: FieldElem) -> "PhasePoly":
-        c = as_elem(self.table, c)
-        if c.is_zero():
-            return PhasePoly.zero(self.table)
-        return PhasePoly(self.table, {e: cc * c for e, cc in self.terms.items()}, _clean=True)
+        return PhasePoly(self.table, _pscale(self.terms, as_elem(self.table, c)), _clean=True)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldElem)):
-            other = PhasePoly.const(self.table, other)
-        if not isinstance(other, PhasePoly) or other.table is not self.table:
+        try:
+            o = as_phase(self.table, other)
+        except (TypeError, ValueError):
+            # another type or another table: False, as FieldElem answers
             return NotImplemented
-        return self.terms == other.terms
+        return self.terms == o.terms
 
     def __hash__(self):
         if self._hash is None:
@@ -1423,7 +1413,10 @@ class PhaseRational:
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except (TypeError, ValueError):
+            return NotImplemented
         return (self.num * o.den - o.num * self.den).is_zero()
 
     def partial(self, name: str) -> "PhaseRational":
@@ -1467,9 +1460,8 @@ def _phase_cancel(num: PhasePoly, den: PhasePoly):
     free variables, which can only miss cancellations, never create wrong
     ones.  The cancellation is cosmetic, so its gcd is metered: past
     _CANCEL_CAP units of work the quotient is kept as built, with a DEBUG
-    record on the painlevekit logger, as it is at once when _coprime_mod_p
-    proves the two sides coprime.  When one side has a single term the gcd
-    is closed form (see _pgcd) and costs no units.
+    record on the painlevekit logger.  Sides that their mod-p images prove
+    coprime (see _zgcd), or a side of one term (see _pgcd), cost no units.
     """
     table = num.table
     n = len(table)
@@ -1490,8 +1482,6 @@ def _phase_cancel(num: PhasePoly, den: PhasePoly):
 
     fn, mn = flatten(num)
     fd, md = flatten(den)
-    if _coprime_mod_p(fn, fd):
-        return num, den
     try:
         g = _pgcd(fn, fd, [_CANCEL_CAP])
     except _CancelBudgetExceeded:

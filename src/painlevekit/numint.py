@@ -532,6 +532,13 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
                     "(t, then y and y' per trajectory)")
         if not basis:
             raise ConstraintError("basis must not be empty")
+        # a repeated column makes its difference a null vector of the matrix
+        seen = set()
+        for e in basis:
+            if e in seen:
+                label = _monomial_label(e, len(trajs))
+                raise ConstraintError(f"basis monomial {label!r} is repeated")
+            seen.add(e)
         ncols = len(basis)
 
     degenerate = any(_constant(tr.samples) for tr in trajs)

@@ -136,6 +136,17 @@ def test_overflowing_basis_monomial_is_refused(capsys):
     assert "Traceback" not in err
 
 
+def test_repeated_basis_monomial_is_refused(capsys):
+    # t and t make two equal columns, whose difference was reported as a
+    # candidate relation
+    for basis, label in (("1,t,y,t", "'t'"), ("1,y^2,y*y", "'y^2'")):
+        code, out, err = _run_strict(capsys, "probe", "--family", "S2",
+                                     "--param", "alpha=1/3", "--initial", "1,0.3,0.1",
+                                     "--path", "1,2", "--tol", "1e-10", "--basis", basis)
+        assert code == 1 and out == ""
+        assert "ConstraintError" in err and f"{label} is repeated" in err
+
+
 def test_huge_exponent_is_refused(capsys):
     code, out, err = _run_strict(capsys, "verify-invariant", "--family", "S2",
                                  "--param", "alpha=1/2", "--poly", "x^99999999")

@@ -561,6 +561,21 @@ def test_phase_rational_cross_equality():
     assert r2 * parse("x - y", tab) == parse("x + y", tab)
 
 
+def test_phase_equality_with_a_foreign_value_is_false():
+    # as for FieldElem, another type or another table compares unequal
+    # instead of raising
+    tab, other = SymbolTable(), SymbolTable()
+    p, r = parse("x + 1", tab), parse("(x + 1)/(y - 2)", tab, allow_rational=True)
+    assert isinstance(r, PhaseRational)
+    for v in (p, r):
+        for foreign in ("x", None, 1.5, parse("x + 1", other), other.one(),
+                        PhaseRational.from_poly(parse("x + 1", other))):
+            assert not v == foreign and v != foreign
+            assert not foreign == v and foreign != v
+    assert r == PhaseRational(tab, p, parse("y - 2", tab))
+    assert p == PhaseRational.from_poly(p) and p == parse("x + 1", tab)
+
+
 def test_phase_rational_partial():
     tab = SymbolTable()
     r = parse("y/(x - y)", tab, allow_rational=True)
@@ -603,8 +618,9 @@ def test_cancel_cap_keeps_the_quotient_as_built(monkeypatch):
     monkeypatch.setattr(field, "_spend", counted)
     got = field._phase_cancel(num, den)
     assert (str(got[0]), str(got[1])) == ("y - 1", "x + 2")
-    # the gcd of this pair costs 57 units of work
-    assert sum(units) == 57
+    # the gcd of this pair costs 32 units of work: its content gcds are
+    # coprime and settled by their mod-p images, which charge nothing
+    assert sum(units) == 32
     monkeypatch.setattr(field, "_CANCEL_CAP", 10)
     got = field._phase_cancel(num, den)
     assert got[0] is num and got[1] is den
@@ -624,12 +640,12 @@ def test_exhausted_cancel_budget_is_logged(monkeypatch, caplog):
     assert record.args == (10, 4, 4)
 
 
-def test_coprime_quotient_is_kept_without_a_gcd(monkeypatch):
+def test_coprime_quotient_is_kept_without_a_prs(monkeypatch):
     tab = SymbolTable()
     num, den = parse_poly("(x + t)*(y - 1)", tab), parse_poly("x + 2", tab)
-    gcds = _counting(monkeypatch, "_pgcd")
+    prems = _counting(monkeypatch, "_prem")
     got = field._phase_cancel(num, den)
-    assert gcds == []
+    assert prems == []
     assert got[0] is num and got[1] is den
 
 
@@ -641,16 +657,16 @@ def test_exact_division_over_z_refuses_a_rational_quotient():
     assert field._pdiv_exact(a, b, operator.floordiv) is None
 
 
-def test_metered_gcd_takes_no_shortcut(monkeypatch):
-    # only an unmetered gcd asks the mod-p check, so a metered one spends
-    # its budget exactly as it would without the check
+def test_metered_gcd_of_coprime_operands_spends_no_units(monkeypatch):
+    # a metered gcd asks the mod-p check as an unmetered one does, and
+    # operands it proves coprime charge nothing
     a = field._padd(field._pvar(0), field._pconst(1))
     b = field._padd(field._pvar(1), field._pconst(2))
     checks = _counting(monkeypatch, "_coprime_mod_p")
-    assert field._pgcd(a, b, [field._CANCEL_CAP]) == field._pconst(1)
-    assert checks == []
-    assert field._pgcd(a, b) == field._pconst(1)
+    budget = [field._CANCEL_CAP]
+    assert field._pgcd(a, b, budget) == field._pconst(1)
     assert len(checks) == 1
+    assert budget == [field._CANCEL_CAP]
 
 
 def test_quotient_by_a_monomial_runs_no_prs(monkeypatch):

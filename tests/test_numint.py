@@ -338,6 +338,9 @@ def test_probe_argument_validation():
         relation_probe(tr, degree=2, threshold=0.0)
     with pytest.raises(ConstraintError, match="basis"):
         relation_probe(tr, basis=[(0, 0)])
+    # a repeated column gives the vacuous relation m - m = 0
+    with pytest.raises(ConstraintError, match="'y\\^2' is repeated"):
+        relation_probe(tr, basis=[(0, 0, 0), (0, 2, 0), (1, 0, 0), (0, 2, 0)])
 
 
 def test_two_trajectory_probe_resamples():
