@@ -26,10 +26,13 @@ test alone.  Both stages are vectorized numpy on int64 residues.  The
 pivots of each column are inverted together, by one batch inversion
 (Montgomery's trick), and the sums of products in the reduction and in the
 characteristic polynomial are integer matrix products over 16-bit halves,
-reduced once per result.
+reduced once per result.  The filter is the only part of this module that
+computes on arrays, and its functions import numpy when they run: importing
+the module, compiling a system and integrating it leave numpy unloaded.
 
 The integrator is Dormand-Prince 5(4) on Python complex and float
-scalars.  ``compile_rhs`` turns the compiled system into the source of one
+scalars, and takes the system and the waypoints as plain sequences.
+``compile_rhs`` turns the compiled system into the source of one
 straight-line function that returns both right-hand-side components,
 computes each power of x, y and t once, and binds the coefficients by name
 in its namespace; ``exec`` compiles it once per instance, since
@@ -46,7 +49,9 @@ denominator in t, and the unit direction of each segment, are computed by
 that formula (``_cdiv``).  Where numpy returned inf or nan, Python raises
 (float division by zero, ``abs`` or ``**`` past the float range); the loop
 catches those cases and carries on with the value numpy had, so a huge or
-non-finite state ends in a pole or an abort, never in a warning.
+non-finite state ends in a pole or an abort, never in a warning.  An error
+estimate past the float range, at a tolerance no step can meet, rejects
+the step like any other; the run ends in an abort, not a pole.
 
 ``darboux_candidate_flags`` logs two DEBUG records on the ``painlevekit``
 logger hierarchy: the candidates left after each stage, and how many
@@ -55,8 +60,6 @@ survivors the eigenvector and the full rank test each decided.
 
 import math
 import sys
-
-import numpy as np
 
 # there is one build; the flag stays for callers that record the backend
 HAS_NUMBA = False
@@ -82,6 +85,7 @@ def _inverse_mod(a, p):
     each child's inverse is its parent's times its sibling.  Every product
     is of two residues, inside int64.
     """
+    import numpy as np
     nz = a != 0
     x = np.where(nz, a, 1)
     levels = []
@@ -111,12 +115,14 @@ def _split_matvec(X, v, p):
     and only the (n, rows) sum of the high halves is reduced before its
     shift.
     """
+    import numpy as np
     s = X @ np.stack([v >> 16, v & 0xFFFF], axis=2)
     return (s[:, :, 0] % p << 16) + s[:, :, 1]
 
 
 def kernel_flags_numpy(A, B, cand, p):
     # vectorized elimination over the candidate axis, chunked for memory
+    import numpy as np
     N, m = cand.shape
     R, C = A.shape
     out = np.zeros(N, np.uint8)
@@ -176,6 +182,7 @@ _NO_EIGENVALUE, _NOT_ANNIHILATED, _ANNIHILATED, _REDUCED = range(4)
 
 def _identity_rows(B0):
     """(rows S, c) when B0[S[j], j] = c != 0 is each column's only nonzero."""
+    import numpy as np
     C = B0.shape[1]
     nz = B0 != 0
     if C == 0 or not (nz.sum(axis=0) == 1).all():
@@ -192,6 +199,7 @@ def _start_vector(C, p):
     starts from.  e_1 often lies in a proper invariant subspace of the
     search's sparse blocks, and a Hessenberg form started from it is then
     reduced."""
+    import numpy as np
     return np.array([pow(48271, i, p) for i in range(C)], np.int64)
 
 
@@ -210,6 +218,7 @@ def _hessenberg_mod(H, p, steps=None):
     When a list is given, step j appends (piv, f): the index swapped with
     j + 1, and the multipliers of row j + 1 taken from rows j + 2 on.
     """
+    import numpy as np
     C = H.shape[1]
     for j in range(C - 2):
         nzb = H[:, j + 1:, j] != 0
@@ -239,6 +248,7 @@ def _hessenberg_mod(H, p, steps=None):
 
 def _charpoly_hessenberg(H, lams, p):
     """det(lam*I - H[n]) mod p for upper Hessenberg H[n], shape (n, len(lams))."""
+    import numpy as np
     n, C, _ = H.shape
     # P[:, :, k] = det of the leading k x k block of lam*I - H, expanded
     # along its last column: (lam - H[k-1, k-1]) P[k-1] minus, for i < k,
@@ -262,6 +272,7 @@ def _charpoly_hessenberg(H, lams, p):
 def _eigenvectors(H, lams, steps, r, p):
     """A nonzero v with N v = lam v for each unreduced H = X T^-1 N T X^-1
     at an eigenvalue lam, where X is the product of the recorded steps."""
+    import numpy as np
     n, C, _ = H.shape
     ar = np.arange(n)
     w = np.zeros((n, C), np.int64)
@@ -290,6 +301,7 @@ def _eigenvectors(H, lams, steps, r, p):
 def _system_nonzeros(A, B, p):
     """The nonzeros of A - sum_k g[k]*B[k] sorted by row, as (coefficient
     index: 0 for A, k + 1 for B[k]; column; value; start of each row)."""
+    import numpy as np
     mats = np.concatenate([A[None], (-B) % p])
     k, i, j = np.nonzero(mats)
     order = np.argsort(i, kind="stable")
@@ -300,6 +312,7 @@ def _system_nonzeros(A, B, p):
 
 def _annihilated(system, coef, v, p):
     """Whether (A - sum_k g[k]*B[k]) v = 0 mod p, coef rows (1, g) mod p."""
+    import numpy as np
     k, j, vals, starts = system
     if not vals.size:
         return np.ones(len(v), bool)
@@ -313,6 +326,7 @@ def _distinct_rows(X):
     Same result as np.unique(X, axis=0, return_inverse=True), built from
     one-dimensional uniques, which sort integers instead of row records.
     """
+    import numpy as np
     key = np.zeros(len(X), np.int64)
     for col in X.T:
         vals, idx = np.unique(col, return_inverse=True)
@@ -331,6 +345,7 @@ def eigen_stages(A, B, cand, p):
     Prefixes are processed in chunks of 1024, about 1.2 MB per chunk for a
     12 x 12 block, so no candidate-sized array of matrices is built.
     """
+    import numpy as np
     N, m = cand.shape
     block = _identity_rows(B[0]) if m else None
     if block is None:
@@ -377,6 +392,7 @@ def darboux_candidate_flags(A, B, cand, p=MOD_P):
     decides the survivors whose Hessenberg form is unreduced, and the full
     rank test the others.
     """
+    import numpy as np
     A = np.asarray(A, np.int64) % p
     B = np.asarray(B, np.int64) % p
     cand = np.asarray(cand, np.int64)
@@ -443,7 +459,8 @@ STATUS_ABORTED = 2
 # sample
 MAX_STEPS = 200_000
 # a step size below HFLOOR ends the run: at a pole when |y| or |x| is past
-# BLOWUP or the state is not finite, else as an abort
+# BLOWUP or the trial state is not finite, else as an abort (an error
+# estimate that overflows is not a pole)
 HFLOOR = 1e-12
 BLOWUP = 1e8
 
@@ -484,7 +501,7 @@ def _cabs(z):
 def _numerator_source(name, ex, powers):
     # summed from 0j, so that exact zeros come out as +0
     terms = ["0j"]
-    for n, (i, j, k) in enumerate(ex.tolist()):
+    for n, (i, j, k) in enumerate(ex):
         factors = [f"{name}{n}"]
         for var, e in (("x", i), ("y", j), ("t", k)):
             if e:
@@ -507,25 +524,24 @@ def compile_rhs(fex, fco, gex, gco, den):
     Python complex scalars.
 
     The components are N_f(x, y, t)/D(t) and N_g(x, y, t)/D(t): each N by
-    integer exponent triples (x, y, t) and complex coefficients, the shared
-    D by its dense coefficients in t, ascending.  The generated code
-    computes each power of x, y and t once, as the chained product
-    x*x*...*x, sums the terms of each N in their given order starting from
-    0j, and evaluates D once by Horner from 0j.  Coefficients are names
-    bound in the function's namespace, never text in its source.  A
-    denominator that is the constant 1 is not divided by: a numerator
-    summed from 0j has no -0 part, so numpy's division by 1 would return it
-    unchanged.  Any other D divides each numerator with numpy's complex128
-    formula (``_cdiv``), which Python's own complex ``/`` does not
-    reproduce.
+    a sequence of integer exponent triples (x, y, t) and one of complex
+    coefficients, the shared D by its dense coefficients in t, ascending.
+    The generated code computes each power of x, y and t once, as the
+    chained product x*x*...*x, sums the terms of each N in their given
+    order starting from 0j, and evaluates D once by Horner from 0j.
+    Coefficients are names bound in the function's namespace, never text
+    in its source.  A denominator that is the constant 1 is not divided
+    by: a numerator summed from 0j has no -0 part, so numpy's division by
+    1 would return it unchanged.  Any other D divides each numerator with
+    numpy's complex128 formula (``_cdiv``), which Python's own complex
+    ``/`` does not reproduce.
     """
     ns = {"_cdiv": _cdiv}
     powers = {"x": 0, "y": 0, "t": 0}
     nums = []
     for name, ex, co in (("f", fex, fco), ("g", gex, gco)):
-        ex = np.asarray(ex, np.int64).reshape(-1, 3)
-        for n, c in enumerate(np.asarray(co, np.complex128).tolist()):
-            ns[f"{name}{n}"] = c
+        for n, c in enumerate(co):
+            ns[f"{name}{n}"] = complex(c)
         nums.append(_numerator_source(name, ex, powers))
     lines = ["def rhs(x, y, t):"]
     for var, top in powers.items():
@@ -534,7 +550,7 @@ def compile_rhs(fex, fco, gex, gco, den):
             lines.append(f"    {var}{e} = {prev} * {var}")
     lines.append(f"    nf = {nums[0]}")
     lines.append(f"    ng = {nums[1]}")
-    de = np.asarray(den, np.complex128).tolist()
+    de = [complex(c) for c in den]
     if de == [1]:
         lines.append("    return nf, ng")
     else:
@@ -635,7 +651,10 @@ def _dopri5_core(rhs, wps, y0, x0, tol, maxsteps):
                 err = math.sqrt(0.5 * (ry ** 2 + rx ** 2))
             except OverflowError:
                 err = math.inf
-            bad = not (math.isfinite(err) and math.isfinite(ay7) and math.isfinite(ax7))
+            # an error estimate past the float range at a tolerance below
+            # reach rejects the step, but only a state past it is a pole
+            blown = not (math.isfinite(ay7) and math.isfinite(ax7))
+            bad = blown or not math.isfinite(err)
             if not bad and err <= 1.0:
                 sigma += h
                 t = t7
@@ -660,7 +679,7 @@ def _dopri5_core(rhs, wps, y0, x0, tol, maxsteps):
                     fac = 5.0
             h = h * fac
             if h < HFLOOR and sigma < seglen:
-                if ay > BLOWUP or ax > BLOWUP or bad:
+                if ay > BLOWUP or ax > BLOWUP or blown:
                     status = STATUS_POLE
                 else:
                     status = STATUS_ABORTED
@@ -671,5 +690,5 @@ def _dopri5_core(rhs, wps, y0, x0, tol, maxsteps):
 def dopri5_path(rhs, wps, y0, x0, tol, maxsteps=MAX_STEPS):
     """Integrate the system rhs, made by ``compile_rhs``, along the
     polyline; returns (t, y, x lists, status, t_est)."""
-    wps = np.asarray(wps, np.complex128).tolist()
+    wps = [complex(w) for w in wps]
     return _dopri5_core(rhs, wps, complex(y0), complex(x0), float(tol), int(maxsteps))

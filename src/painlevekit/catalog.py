@@ -119,7 +119,7 @@ class PainleveInstance:
         self.hamiltonian = hamiltonian
         self.hamiltonian_convention = hamiltonian_convention
         self.notes = tuple(notes)
-        # numint.compile_system's arrays, read-only, and the function
+        # numint.compile_system's tuples and the function
         # _accel.compile_rhs makes of them; None until integrated
         self._compiled = None
         self._rhs = None

@@ -11,12 +11,14 @@ Parameters are exact rationals (`--param alpha=3/2`); the prefix
 `sym:` declares a transcendental instead (`--param alpha=sym:a`).
 
 Each run is a fresh process, so imports are part of every command's wall
-time.  numpy is loaded only by the subcommands that compute numerically:
-darboux (through dvariety.darboux_search) and integrate, drift and probe
-(through numint, imported inside the handlers).  The exact subcommands
-never load numpy, painlevekit._accel or painlevekit.numint.  numint is
-used through the module, never through bound names, so that wrapping its
-attributes reaches every call.
+time.  numpy is loaded only by the subcommands that compute on arrays:
+darboux (through dvariety.darboux_search) and drift and probe (through
+numint, imported inside the handlers).  integrate loads numint and
+painlevekit._accel but not numpy: it compiles the system to tuples and
+integrates on Python scalars.  The exact subcommands never load numpy,
+painlevekit._accel or painlevekit.numint.  numint is used through the
+module, never through bound names, so that wrapping its attributes
+reaches every call.
 """
 
 import argparse

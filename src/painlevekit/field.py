@@ -867,8 +867,11 @@ class FieldElem:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a rational value equals its Fraction, so it hashes as one
         if self._hash is None:
-            self._hash = hash((frozenset(self.num.items()), frozenset(self.den.items())))
+            q = self.as_fraction()
+            self._hash = hash(q) if q is not None else \
+                hash((frozenset(self.num.items()), frozenset(self.den.items())))
         return self._hash
 
     # -- calculus ------------------------------------------------------------
@@ -1251,8 +1254,15 @@ class PhasePoly:
         return self.terms == o.terms
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes as one
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            terms = self.terms
+            if not terms:
+                self._hash = hash(0)
+            elif len(terms) == 1 and (0, 0, 0, 0) in terms:
+                self._hash = hash(terms[0, 0, 0, 0])
+            else:
+                self._hash = hash(frozenset(terms.items()))
         return self._hash
 
     # -- calculus ------------------------------------------------------------

@@ -7,13 +7,17 @@ and probe sampled trajectories for low-degree algebraic relations.
 Everything here is floating point and heuristic; verdicts carry the
 tolerances that produced them and are never a substitute for the exact
 certificates in dvariety.
+
+``compile_system`` flattens a system into plain tuples, and the integrator
+in ``_accel`` runs on Python scalars, so importing this module and
+integrating leave numpy unloaded.  numpy is imported inside the functions
+that build arrays: the sample arrays of a trajectory, the drift and the
+relation probe.
 """
 
 import cmath
 import itertools
 import math
-
-import numpy as np
 
 from . import _accel
 from .errors import (
@@ -140,6 +144,7 @@ class Trajectory:
         returns the same three arrays.
         """
         if self._arrays is None:
+            import numpy as np
             ts = np.array([s[0] for s in self.samples], dtype=np.complex128)
             ys = np.array([s[1] for s in self.samples], dtype=np.complex128)
             xs = np.array([s[2] for s in self.samples], dtype=np.complex128)
@@ -152,6 +157,7 @@ class Trajectory:
         """Arclength along the sampled polyline in t at each sample, as a
         fraction of the whole; built once, read-only."""
         if self._fractions is None:
+            import numpy as np
             seg = np.abs(np.diff(self.arrays()[0]))
             s = np.concatenate(([0.0], np.cumsum(seg)))
             s /= s[-1]
@@ -236,7 +242,7 @@ def _monomial_label(e, ntraj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# compilation of a catalog system into flat arrays
+# compilation of a catalog system into flat tuples
 
 
 def _radical_values(table) -> dict:
@@ -250,10 +256,10 @@ def _radical_values(table) -> dict:
 
 
 def _compile_component(comp: PhasePoly, radvals):
-    """Flatten one polynomial system component to ((n,3) exps, coeffs).
+    """Flatten one polynomial system component to (exponents, coeffs):
+    a tuple of (x, y, t) integer triples and one of complex coefficients.
 
-    Exponent columns are (x, y, t); coefficient denominators must have
-    been cleared beforehand.
+    Coefficient denominators must have been cleared beforehand.
     """
     rows: dict = {}
     for e, c in comp.terms.items():
@@ -264,20 +270,19 @@ def _compile_component(comp: PhasePoly, radvals):
             raise ConstraintError("coefficient denominator survived clearing")
         for dt, z in enumerate(num):
             rows[(e[0], e[1], dt)] = z
-    keys = sorted(k for k, z in rows.items() if z != 0)
-    ex = np.zeros((len(keys), 3), dtype=np.int64)
-    co = np.zeros(len(keys), dtype=np.complex128)
-    for n, k in enumerate(keys):
-        ex[n, 0], ex[n, 1], ex[n, 2] = k
-        co[n] = rows[k]
-    return ex, co
+    keys = tuple(sorted(k for k, z in rows.items() if z != 0))
+    return keys, tuple(complex(rows[k]) for k in keys)
 
 
 def compile_system(instance):
     """(fex, fco, gex, gco, den) ready for the dopri5 kernel.
 
     Denominators are cleared exactly first, so both components share the
-    one dense denominator polynomial in t, den.
+    one dense denominator polynomial in t.  Every part is a plain tuple:
+    fex and gex of (x, y, t) integer exponent triples, fco and gco of the
+    matching complex coefficients, den of the denominator's complex
+    coefficients in t, ascending.  Tuples are immutable, so an instance
+    can share its compiled system with every later integration.
     """
     if instance.system is None:
         raise ConstraintError(
@@ -286,13 +291,19 @@ def compile_system(instance):
 
     cleared, mult = clear_denominators(instance.derivation)
     radvals = _radical_values(instance.table)
-    den = np.array(mult.complex_t_coefficients(radvals)[0], dtype=np.complex128)
+    den = tuple(complex(c) for c in mult.complex_t_coefficients(radvals)[0])
     fex, fco = _compile_component(cleared.f, radvals)
     gex, gco = _compile_component(cleared.g, radvals)
     return fex, fco, gex, gco, den
 
 
 def _eval_compiled(ex, co, de, t, y, x):
+    import numpy as np
+    # np.int64 exponents: numpy raises to a Python int by a fast path
+    # that rounds otherwise, and the probe's y' columns would change
+    ex = np.array(ex, dtype=np.int64).reshape(-1, 3)
+    co = np.array(co, dtype=np.complex128)
+    de = np.array(de, dtype=np.complex128)
     num = np.zeros_like(t)
     for n in range(ex.shape[0]):
         num = num + co[n] * x ** ex[n, 0] * y ** ex[n, 1] * t ** ex[n, 2]
@@ -348,13 +359,10 @@ def integrate(instance, initial, path, tol: float = 1e-9) -> Trajectory:
     rhs = instance._compiled
     if rhs is None:
         rhs = compile_system(instance)
-        for a in rhs:
-            a.flags.writeable = False
         instance._compiled = rhs
         instance._rhs = _accel.compile_rhs(*rhs)
-    wps = np.array(path.waypoints, dtype=np.complex128)
-    ts, ys, xs, status, t_est = _accel.dopri5_path(instance._rhs, wps, y0, x0,
-                                                   float(tol))
+    ts, ys, xs, status, t_est = _accel.dopri5_path(instance._rhs, path.waypoints,
+                                                   y0, x0, float(tol))
 
     samples = list(zip(ts, ys, xs))
     if status == _accel.STATUS_COMPLETED:
@@ -404,6 +412,8 @@ def invariant_drift(traj: Trajectory, P) -> float:
                                   "tangent variables u1, u2 are not sampled")
         _require_numeric_coeffs(q)
 
+    import numpy as np
+
     radvals = _radical_values(P.table)
     ts, ys, xs = traj.arrays()
     with np.errstate(all="ignore"):
@@ -413,8 +423,9 @@ def invariant_drift(traj: Trajectory, P) -> float:
         return float(np.nan_to_num(np.abs(vals), nan=np.inf, posinf=np.inf).max())
 
 
-def _phase_values(q: PhasePoly, radvals, ts, ys, xs) -> np.ndarray:
+def _phase_values(q: PhasePoly, radvals, ts, ys, xs):
     """q at every sample (t_i, y_i, x_i), evaluated over the arrays."""
+    import numpy as np
 
     def at_ts(coeffs):
         v = np.zeros_like(ts)
@@ -474,6 +485,8 @@ def _check_common_path(trajs) -> None:
 
 def _resample(trajs, m: int):
     """Linear interpolation of each trajectory onto m arclength fractions."""
+    import numpy as np
+
     grid = np.linspace(0.0, 1.0, m)
     rows = []
     for tr in trajs:
@@ -551,6 +564,8 @@ def relation_probe(trajectories, degree: int = 2, threshold: float = 1e-6,
     if degenerate:
         return RelationProbeResult(basis, None, None, DEGENERATE,
                                    threshold, len(trajs))
+    import numpy as np
+
     parts = [trajs[0].arrays()] if len(trajs) == 1 else _resample(trajs, m)
 
     # variable columns built on demand, so bases avoiding y' work on

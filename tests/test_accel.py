@@ -384,6 +384,10 @@ def test_search_results_unchanged_at_box_three(family, params, want):
 
 def _rhs_loop(ex, co, de, x, y, t):
     # the right-hand side as dopri5 once evaluated it, on numpy scalars
+    # read from the compiled system's tuples packed into arrays
+    ex = np.array(ex, np.int64).reshape(-1, 3)
+    co = np.array(co, np.complex128)
+    de = np.array(de, np.complex128)
     num = 0j
     for n in range(ex.shape[0]):
         term = co[n]
@@ -413,8 +417,7 @@ def _systems():
     out = [numint.compile_system(catalog.instantiate(f, p)) for f, p in _SYSTEMS]
     # a denominator of 1 and a cube of x
     fex, fco, gex, gco, _ = out[-1]
-    out.append((np.vstack([fex, [[3, 0, 1]]]), np.append(fco, 0.5 - 2j),
-                gex, gco, np.array([1 + 0j])))
+    out.append((fex + ((3, 0, 1),), fco + (0.5 - 2j,), gex, gco, (1 + 0j,)))
     return out
 
 

@@ -613,6 +613,7 @@ def test_closed_pipe_ends_quietly():
 
 
 _NUMERIC_MODULES = ("numpy", "painlevekit._accel", "painlevekit.numint")
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 # each argv runs through cli.main in one process, in order; the process
 # prints which of _NUMERIC_MODULES are loaded after the import and after
@@ -644,17 +645,23 @@ _EXACT_COMMANDS = [
      "--param", "v2=1/5"],
 ]
 
-_NUMERIC_COMMANDS = [
+# integrate loads numint and _accel, and still not numpy
+_INTEGRATE = ["integrate", "--family", "S2", "--param", "alpha=-1/2",
+              "--initial", "1,0.3,0", "--path", "1,1.5"]
+
+_TRAJECTORY = ["--family", "S2", "--param", "alpha=1/2", "--initial",
+               "1,0.3,1.18", "--path", "1,1.5"]
+
+_ARRAY_COMMANDS = [
     ["darboux", "--family", "S2", "--param", "alpha=1/2", "--deg-xy", "1",
      "--deg-t", "1", "--cofactor-box", "1", "--cofactor-deg", "1"],
-    ["integrate", "--family", "S2", "--param", "alpha=-1/2",
-     "--initial", "1,0.3,0", "--path", "1,1.5"],
+    ["drift", *_TRAJECTORY, "--poly", "x - 2*y^2 - t"],
+    ["probe", *_TRAJECTORY, "--basis", "1,t,y"],
 ]
 
 
 def _loaded_after(commands):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=_SRC)
     out = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER, json.dumps(_NUMERIC_MODULES),
          json.dumps(commands)],
@@ -663,12 +670,19 @@ def _loaded_after(commands):
 
 
 def test_exact_commands_leave_numpy_unloaded():
-    # every subprocess of an exact command would otherwise pay for
-    # importing numpy, which is most of its wall time
-    after_import, *after_commands = _loaded_after(_EXACT_COMMANDS)
+    # every subprocess of an exact command, or of integrate, would
+    # otherwise pay for importing numpy, which is most of its wall time
+    after_import, *after_commands, after_integrate = _loaded_after(
+        _EXACT_COMMANDS + [_INTEGRATE])
     assert after_import == []
     assert after_commands == [[0, []]] * len(_EXACT_COMMANDS)
-    for argv in _NUMERIC_COMMANDS:
+    assert after_integrate == [0, ["painlevekit._accel", "painlevekit.numint"]]
+    subprocess.run(
+        [sys.executable, "-c", "import painlevekit.numint, painlevekit._accel, sys; "
+         "assert 'numpy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=_SRC), check=True)
+    # the commands that compute on arrays load numpy when they run
+    for argv in _ARRAY_COMMANDS:
         after_import, after_command = _loaded_after([argv])
         assert after_import == []
         assert after_command[0] == 0 and "numpy" in after_command[1]

@@ -7,7 +7,8 @@ cancel, gcd, diff and lcm, PhasePoly +, -, *, scale, partial and the term
 order of its str(), complex_t_coefficients with eval_complex,
 SymbolTable.root_of with factorint, and check that the mod-p coprimality
 certificate _coprime_mod_p answers True only for operands whose sympy gcd
-is 1.
+is 1, and that equal values of int, Fraction, FieldElem and PhasePoly hash
+alike.
 Radical results are compared modulo the relation a*s^2 - 2.  Besides the
 value, every result must be in canonical form: coprime numerator and
 denominator, a monic denominator free of s, s to the power at most 1, and
@@ -599,6 +600,25 @@ def test_phase_sums_and_partials_match_sympy(drawn):
             assert str(P) == "0"
             continue
         assert _str_exponents(str(P)) == sorted(P.terms, key=lambda e: (sum(e), e), reverse=True)
+
+
+@ORACLE
+@given(TABLES.flatmap(lambda tab: st.tuples(
+    st.just(tab), st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    _elems(tab, small=True), _phase_polys(tab))))
+def test_equal_values_hash_alike(drawn):
+    # a rational FieldElem hashes as its Fraction, a constant PhasePoly as
+    # its coefficient; the rest keep a structural hash
+    tab, q, e, p = drawn
+    vals = [q, tab.const(q), PhasePoly.const(tab, q), e, FieldElem(tab, e.num, e.den),
+            PhasePoly.const(tab, e), p, PhasePoly(tab, dict(p.terms))]
+    if q.denominator == 1:
+        vals.append(int(q))
+    for a in vals:
+        for b in vals:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    assert len({q, tab.const(q), PhasePoly.const(tab, q)}) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,17 @@ def test_p1_hits_movable_pole():
     assert abs(tr.samples[-1][0] - tr.t_est) < 1e-6
 
 
+@pytest.mark.parametrize("tol", [1e-30, 1e-200, 5e-324])
+def test_unreachable_tolerance_aborts_without_a_pole(tol):
+    # the step shrinks past the floor at each of these tolerances; from
+    # 1e-200 on the error estimate overflows to inf, which rejects a step
+    # but is no pole: |y| stays near 0.3
+    tr = integrate(_s2(F(1, 2)), (1, 0.3, 0), PathSpec([1, 2]), tol=tol)
+    assert tr.status == numint.SINGULARITY_ABORTED
+    assert tr.t_est is None
+    assert max(abs(y) for _, y, _ in tr.samples) < 1
+
+
 def test_determinism_is_bit_for_bit():
     a = integrate(_s2(), (1, 0.3, 0), PathSpec([1, 2]), tol=1e-9)
     b = integrate(_s2(), (1, 0.3, 0), PathSpec([1, 2]), tol=1e-9)
@@ -158,11 +169,14 @@ def test_instance_compiles_its_system_once(monkeypatch):
     c = integrate(fresh, (1, 0.3, 0), PathSpec([1, 2]), tol=1e-9)
     assert calls == [inst, fresh]
     assert a.samples == b.samples == c.samples
-    # the cached arrays are shared by every later integration: read-only
-    for arr in inst._compiled:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[...] = 0
+    # the cached system is shared by every later integration: one
+    # immutable tuple of tuples
+    compiled = inst._compiled
+    assert isinstance(compiled, tuple)
+    assert all(isinstance(part, tuple) for part in compiled)
+    hash(compiled)   # raises for a mutable part at any depth
+    integrate(inst, (1, 0.3, 0), PathSpec([1, 3]), tol=1e-9)
+    assert inst._compiled is compiled
 
 
 def test_step_cap_aborts_with_one_sample_per_step():
