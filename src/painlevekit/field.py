@@ -16,9 +16,13 @@ clears the denominators of its operands once, runs the primitive PRS over
 Z[symbols], and makes the result monic over Q at the end (an operand of
 one term needs no PRS: the gcd is then a monomial).  The dict kernel
 (_padd, _pmul, _pdiv_exact, ...) uses only +, *, / and truth tests on
-coefficients, so it serves Z, Q and K alike: PhasePoly runs on it too.  The
-representation is private to this module: other modules read coefficients
-through FieldElem.t_coefficients, FieldElem.complex_t_coefficients and
+coefficients, so it serves Z, Q and K alike: PhasePoly runs on it too.
+Every coefficient of a FieldElem is a Fraction, never an int, since an int
+quotient would be a float; a Fraction is immutable, so constants share
+_ZERO and _ONE instead of building their own, while every constant dict is
+built fresh, since callers may mutate theirs.  The representation is
+private to this module: other modules read coefficients through
+FieldElem.t_coefficients, FieldElem.complex_t_coefficients and
 common_denominator, so a change of format touches this file alone.
 Canonical form:
 
@@ -135,13 +139,21 @@ def _exp_get(e: tuple, i: int) -> int:
     return e[i] if i < len(e) else 0
 
 
+# shared by every constant dict; the dicts are built fresh, a caller may mutate its own
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _pconst(c) -> dict:
-    c = Fraction(c)
-    return {(): c} if c else {}
+    # c is an int or a Fraction; a nonzero int alone needs a Fraction built
+    if not c:
+        return {}
+    if c.__class__ is not Fraction:
+        c = _ONE if c == 1 else Fraction(c)
+    return {(): c}
 
 
 def _pvar(i: int) -> dict:
-    return {_strip((0,) * i + (1,)): Fraction(1)}
+    return {_strip((0,) * i + (1,)): _ONE}
 
 
 def _padd(a: dict, b: dict) -> dict:
@@ -173,9 +185,9 @@ def _emul(e1: tuple, e2: tuple) -> tuple:
 
 def _pmul(a: dict, b: dict) -> dict:
     # a constant factor, most often 1, scales the other in its term order
-    if _is_const(a):
+    if len(a) == 1 and () in a:
         return _pscale(b, a[()])
-    if _is_const(b):
+    if len(b) == 1 and () in b:
         return _pscale(a, b[()])
     out: dict = {}
     for e1, c1 in a.items():
@@ -194,7 +206,7 @@ def _pmul(a: dict, b: dict) -> dict:
 def _pscale(a: dict, c) -> dict:
     if not c:
         return {}
-    return dict(a) if c == 1 else {e: cc * c for e, cc in a.items()}
+    return dict(a) if c is _ONE or c == 1 else {e: cc * c for e, cc in a.items()}
 
 
 def _plead(a: dict) -> tuple:
@@ -418,7 +430,7 @@ def _pgcd(a: dict, b: dict, budget=None) -> dict:
     """
     if a and b and (len(a) == 1 or len(b) == 1):
         # zip stops at the shortest tuple: stripped zeros are minima there
-        return {_strip(tuple(map(min, zip(*a, *b)))): Fraction(1)}
+        return {_strip(tuple(map(min, zip(*a, *b)))): _ONE}
     g = _zgcd(_primitive(a), _primitive(b), budget)
     if not g:
         return {}
@@ -719,8 +731,11 @@ class SymbolTable:
         return self.const(1)
 
     def const(self, c) -> "FieldElem":
-        # c or 0 over 1 is already canonical
-        return FieldElem(self, _pconst(c), _pconst(1), _canonical=True)
+        # an exact rational only: a float or a string would be read as some
+        # nearby rational.  c or 0 over 1 is already canonical
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot coerce {type(c).__name__} to FieldElem")
+        return FieldElem(self, _pconst(c), {(): _ONE}, _canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +747,7 @@ def as_elem(table: SymbolTable, v) -> "FieldElem":
         if v.table is not table:
             raise ValueError("mixing symbol tables")
         return v
-    if isinstance(v, (int, Fraction)):
-        return table.const(v)
-    raise TypeError(f"cannot coerce {type(v).__name__} to FieldElem")
+    return table.const(v)
 
 
 class FieldElem:
@@ -768,7 +781,7 @@ class FieldElem:
         """
         num = self.num
         if _is_const(self.den) and (not num or _is_const(num)):
-            return num[()] if num else Fraction(0)
+            return num[()] if num else _ZERO
         return None
 
     def symbols_used(self, transitive: bool = True) -> set:

@@ -205,9 +205,41 @@ def test_as_fraction():
     tab = SymbolTable()
     t = tab.t()
     assert tab.const(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
-    assert tab.zero().as_fraction() == 0
+    zero = tab.zero().as_fraction()
+    assert type(zero) is Fraction and zero == 0
     assert t.as_fraction() is None
     assert ((t + 1) - t).as_fraction() == 1
+
+
+@pytest.mark.parametrize("bad", [0.1, float("nan"), "1/3", 1j, None])
+def test_const_refuses_what_is_not_a_rational(bad):
+    # as_elem and PhasePoly.const refuse the same values alike
+    tab = SymbolTable()
+    for build in (tab.const, lambda c: PhasePoly.const(tab, c)):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            build(bad)
+
+
+def test_const_accepts_int_bool_and_fraction():
+    tab = SymbolTable()
+    assert tab.const(True) == 1 and tab.const(False).is_zero()
+    for c in (3, Fraction(-2, 7)):
+        z = tab.const(c)
+        assert z.as_fraction() == c
+        assert all(type(v) is Fraction for v in (*z.num.values(), *z.den.values()))
+
+
+def test_const_returns_fresh_dicts():
+    # the constants share immutable Fractions, never a dict a caller may mutate
+    tab = SymbolTable()
+    for c in (1, Fraction(3, 4), 0):
+        z = tab.const(c)
+        z.num[(5,)] = Fraction(9)
+        z.den[(5,)] = Fraction(9)
+        assert tab.const(c).as_fraction() == c
+    one = tab.one()
+    assert one.num == {(): 1} and one.den == {(): 1}
+    assert field._pconst(1) is not field._pconst(1)
 
 
 def test_derivation_quotient_rule():

@@ -1,6 +1,6 @@
 """Print digests of what the perfbench workloads compute, for parity checks.
 
-    PYTHONPATH=src python3 tools/digests.py {stage,flow,exact} 1 2 3
+    PYTHONPATH=src python3 tools/digests.py {stage,flow,exact,counts} 1 2 3
 
 Runs one round of the named perfbench workload for each seed given (seed 1
 when none is).  Two checkouts compute alike exactly when their outputs are
@@ -30,6 +30,11 @@ equal, so a change is checked by running this on both and comparing;
   summary (the verdicts, the residuals, the symbolic systems, the first
   integrals and the classifier verdicts, every field element written with
   ``str``).
+* ``counts``: for each seed, one line with the number of ``FieldElem``
+  constructions and of ``field._pmul`` calls over three rounds of the
+  ``exact`` workload.  Equal counts mean the same exact-layer work was
+  done, whatever it cost.  They are not pinned: a change of the kernel's
+  representation or of the fixture may move them by design.
 """
 
 import hashlib
@@ -40,7 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from painlevekit import _accel  # noqa: E402
+from painlevekit import _accel, field  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -121,7 +126,32 @@ def exact(seeds):
             print(seed, f"op{n}", op[0], f"summary={_digest(repr(summary).encode())}")
 
 
-CHECKS = {"stage": stage, "flow": flow, "exact": exact}
+def counts(seeds):
+    tally = {"FieldElem": 0, "_pmul": 0}
+    init, pmul = field.FieldElem.__init__, field._pmul
+
+    def counted_init(self, *args, **kwargs):
+        tally["FieldElem"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_pmul(a, b):
+        tally["_pmul"] += 1
+        return pmul(a, b)
+
+    field.FieldElem.__init__, field._pmul = counted_init, counted_pmul
+    try:
+        for seed in seeds:
+            tally.update(FieldElem=0, _pmul=0)
+            work = workloads.Exact(seed)
+            for _ in range(3):
+                for op in work.round:
+                    work.run(op)
+            print(seed, *(f"{k}={v}" for k, v in tally.items()))
+    finally:
+        field.FieldElem.__init__, field._pmul = init, pmul
+
+
+CHECKS = {"stage": stage, "flow": flow, "exact": exact, "counts": counts}
 
 
 if __name__ == "__main__":
