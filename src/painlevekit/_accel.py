@@ -31,7 +31,10 @@ computes on arrays, and its functions import numpy when they run: importing
 the module, compiling a system and integrating it leave numpy unloaded.
 
 The integrator is Dormand-Prince 5(4) on Python complex and float
-scalars, and takes the system and the waypoints as plain sequences.
+scalars, and takes the system and the waypoints as plain sequences.  It
+reports how a run ended by the labels COMPLETED, POLE_DETECTED and
+SINGULARITY_ABORTED, which ``numint.Trajectory.status`` carries as they
+are.
 ``compile_rhs`` turns the compiled system into the source of one
 straight-line function that returns both right-hand-side components,
 computes each power of x, y and t once, and binds the coefficients by name
@@ -451,9 +454,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = map(complex, (
     -1 / 40,
 ))
 
-STATUS_COMPLETED = 0
-STATUS_POLE = 1
-STATUS_ABORTED = 2
+# how a dopri5_path run ended
+COMPLETED = "Completed"
+POLE_DETECTED = "PoleDetected"
+SINGULARITY_ABORTED = "SingularityAborted"
 
 # steps a dopri5_path call takes at most, so it returns at most one more
 # sample
@@ -563,19 +567,21 @@ def compile_rhs(fex, fco, gex, gco, den):
     return ns["rhs"]
 
 
-def _dopri5_core(rhs, wps, y0, x0, tol, maxsteps):
+def dopri5_path(rhs, wps, y0, x0, tol, maxsteps=MAX_STEPS):
+    """Integrate the system rhs, made by ``compile_rhs``, along the
+    polyline; returns (t, y, x lists, status, t_est), where status is
+    COMPLETED, POLE_DETECTED or SINGULARITY_ABORTED and t_est is the last
+    t reached (the start of the path for a completed run)."""
     # Python complex and float scalars throughout; the order of every
     # operation is part of the result, which tests/data/trajectories.txt
     # pins bit for bit
+    wps = [complex(w) for w in wps]
+    y, x, tol, maxsteps = complex(y0), complex(x0), float(tol), int(maxsteps)
     nseg = len(wps) - 1
     t = wps[0]
-    y = y0
-    x = x0
     ay = _cabs(y)
     ax = _cabs(x)
     ts, ys, xs = [t], [y], [x]
-    status = STATUS_COMPLETED
-    t_est = t
     steps = 0
     for seg in range(nseg):
         a = wps[seg]
@@ -592,7 +598,7 @@ def _dopri5_core(rhs, wps, y0, x0, tol, maxsteps):
         k1x = u * fx
         while sigma < seglen:
             if steps >= maxsteps:
-                return ts, ys, xs, STATUS_ABORTED, t
+                return ts, ys, xs, SINGULARITY_ABORTED, t
             steps += 1
             if h > seglen - sigma:
                 h = seglen - sigma
@@ -680,15 +686,8 @@ def _dopri5_core(rhs, wps, y0, x0, tol, maxsteps):
             h = h * fac
             if h < HFLOOR and sigma < seglen:
                 if ay > BLOWUP or ax > BLOWUP or blown:
-                    status = STATUS_POLE
+                    status = POLE_DETECTED
                 else:
-                    status = STATUS_ABORTED
+                    status = SINGULARITY_ABORTED
                 return ts, ys, xs, status, t
-    return ts, ys, xs, status, t_est
-
-
-def dopri5_path(rhs, wps, y0, x0, tol, maxsteps=MAX_STEPS):
-    """Integrate the system rhs, made by ``compile_rhs``, along the
-    polyline; returns (t, y, x lists, status, t_est)."""
-    wps = [complex(w) for w in wps]
-    return _dopri5_core(rhs, wps, complex(y0), complex(x0), float(tol), int(maxsteps))
+    return ts, ys, xs, COMPLETED, wps[0]

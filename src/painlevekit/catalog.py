@@ -15,8 +15,15 @@ the square-root branches the conversion introduces.  Its square roots
 come from SymbolTable.root_of, so a radical already on the table
 (declared by the caller or by an earlier reduction) is reused, and only
 a root not yet in the field becomes a new radical symbol.
+
+Each fact about a family is written once: _PARAMS lists its parameter
+names in order; _FORMS its builders of the second-order form, the system
+and the Hamiltonian, which instantiate calls with the parameters in that
+order; _CLASSIFIER its classifier and the CITATIONS entry of the
+exceptional set; and _conditions that set's arithmetic conditions.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -269,7 +276,7 @@ def _r_p5(table, a, b, g, d):
             + g * y / t + d * y * (y + one) / (y - one))
 
 
-def _r_p6(table, a, b, g, d, standard_form):
+def _r_p6(table, a, b, g, d, standard_form=False):
     # (1/2)(1/y + 1/mid + 1/(y-t)) x^2 - (1/t + 1/(t-1) + 1/(y-t)) x
     #   + [y(y-1)(y-t)/(t^2(t-1)^2)] (a + b t/y^2 + g(t-1)/(y-1)^2
     #                                   + d t(t-1)/(y-t)^2),
@@ -335,7 +342,7 @@ def _sys_s6(table, a1, a2, a3, a4):
     return f, g
 
 
-def _h_p1(table, corrected):
+def _h_p1(table, corrected=False):
     y, x, t = _pvars(table)
     sign = -1 if corrected else 1
     return x * x / 2 - 2 * y ** 3 + sign * t * y
@@ -361,6 +368,24 @@ def _h_s5(table, v1, v2, v3, v4):
     return h.scale(1 / table.t())
 
 
+# each family's builders of its second-order form, first-order system and
+# Hamiltonian, called with its parameters in _PARAMS order
+_FORMS = {
+    P1: (_r_p1, _sys_p1, _h_p1),
+    P2: (_r_p2, None, None),
+    S2: (None, _sys_s2, None),
+    P3: (_r_p3, None, None),
+    P3PRIME: (_r_p3prime, None, None),
+    S3PRIME: (None, _sys_s3prime, _h_s3prime),
+    P4: (_r_p4, None, None),
+    S4: (None, _sys_s4, None),
+    P5: (_r_p5, None, None),
+    S5: (None, _sys_s5, _h_s5),
+    P6: (_r_p6, None, None),
+    S6: (None, _sys_s6, None),
+}
+
+
 def instantiate(family, params, *, table=None, corrected_hamiltonian=False,
                 standard_form=False):
     """Build a PainleveInstance with every form the family admits.
@@ -377,54 +402,28 @@ def instantiate(family, params, *, table=None, corrected_hamiltonian=False,
     if standard_form and family != P6:
         raise ConstraintError("standard_form only applies to P6")
     table, p = _coerce_params(family, params, table)
-    shape = tuple(sorted(p))
 
-    second_order = None
-    system = None
-    hamiltonian = None
+    build_r, build_sys, build_h = _FORMS[family]
+    if corrected_hamiltonian:
+        build_h = functools.partial(_h_p1, corrected=True)
+    if standard_form:
+        build_r = functools.partial(_r_p6, standard_form=True)
+    if family == P3PRIME and tuple(sorted(p)) == ("v1", "v2"):
+        # the (gamma, delta) = (4, -4) member, parameters in v form
+        args = [4 * p["v2"], -4 * (p["v1"] - 1), table.const(4), table.const(-4)]
+    else:
+        args = [p[n] for n in _PARAMS[family]]
+    second_order = build_r(table, *args) if build_r else None
+    system = build_sys(table, *args) if build_sys else None
+    hamiltonian = build_h(table, *args) if build_h else None
+
     notes = []
-
-    if family == P1:
-        second_order = _r_p1(table)
-        system = _sys_p1(table)
-        hamiltonian = _h_p1(table, corrected_hamiltonian)
-        if not corrected_hamiltonian:
-            notes.append(_NOTE_P1_HAMILTONIAN)
-    elif family == P2:
-        second_order = _r_p2(table, p["alpha"])
-    elif family == S2:
-        system = _sys_s2(table, p["alpha"])
-    elif family == P3:
-        second_order = _r_p3(table, p["alpha"], p["beta"], p["gamma"], p["delta"])
-    elif family == P3PRIME:
-        if shape == ("v1", "v2"):
-            # the (gamma, delta) = (4, -4) member, parameters in v form
-            a = 4 * p["v2"]
-            b = -4 * (p["v1"] - 1)
-            second_order = _r_p3prime(table, a, b, table.const(4), table.const(-4))
-        else:
-            second_order = _r_p3prime(table, p["alpha"], p["beta"], p["gamma"],
-                                      p["delta"])
-    elif family == S3PRIME:
-        system = _sys_s3prime(table, p["v1"], p["v2"])
-        hamiltonian = _h_s3prime(table, p["v1"], p["v2"])
-    elif family == P4:
-        second_order = _r_p4(table, p["alpha"], p["beta"])
-    elif family == S4:
-        system = _sys_s4(table, p["v1"], p["v2"], p["v3"])
-    elif family == P5:
-        second_order = _r_p5(table, p["alpha"], p["beta"], p["gamma"], p["delta"])
-    elif family == S5:
-        system = _sys_s5(table, p["v1"], p["v2"], p["v3"], p["v4"])
-        hamiltonian = _h_s5(table, p["v1"], p["v2"], p["v3"], p["v4"])
+    if family == P1 and not corrected_hamiltonian:
+        notes.append(_NOTE_P1_HAMILTONIAN)
+    if family == S5:
         notes.append(_NOTE_S5_TYPO)
-    elif family == P6:
-        second_order = _r_p6(table, p["alpha"], p["beta"], p["gamma"], p["delta"],
-                             standard_form)
-        if not standard_form:
-            notes.append(_NOTE_P6_BRACKET)
-    elif family == S6:
-        system = _sys_s6(table, p["a1"], p["a2"], p["a3"], p["a4"])
+    if family == P6 and not standard_form:
+        notes.append(_NOTE_P6_BRACKET)
 
     derivation = None
     if system is not None:
@@ -461,35 +460,29 @@ def _conditions(family, p):
         return [("v1 - v2 ∈ Z", p["v1"] - p["v2"], SET_Z),
                 ("v2 - v3 ∈ Z", p["v2"] - p["v3"], SET_Z),
                 ("v3 - v1 ∈ Z", p["v3"] - p["v1"], SET_Z)]
-    if family == S5:
+    if family in (S5, S6):
         out = []
-        names = ("v1", "v2", "v3", "v4")
-        for i, j in itertools.combinations(range(4), 2):
-            out.append((f"{names[i]} - {names[j]} ∈ Z",
-                        p[names[i]] - p[names[j]], SET_Z))
-        return out
-    if family == S6:
-        out = []
-        names = ("a1", "a2", "a3", "a4")
-        for i, j in itertools.combinations(range(4), 2):
-            out.append((f"{names[i]} - {names[j]} ∈ Z",
-                        p[names[i]] - p[names[j]], SET_Z))
-            out.append((f"{names[i]} + {names[j]} ∈ Z",
-                        p[names[i]] + p[names[j]], SET_Z))
+        for a, b in itertools.combinations(_PARAMS[family], 2):
+            out.append((f"{a} - {b} ∈ Z", p[a] - p[b], SET_Z))
+            if family == S6:
+                out.append((f"{a} + {b} ∈ Z", p[a] + p[b], SET_Z))
         return out
     raise ConstraintError(f"no classifier conditions for {family}")
 
 
-# the classifier of each family given in its natural coordinates
-_CLASSIFIER = {P1: P1, P2: P2, S2: P2, S3PRIME: S3PRIME, S4: S4, S5: S5, S6: S6}
+# the classifier of each family given in its natural coordinates, and the
+# CITATIONS entry of its exceptional set
+_CLASSIFIER = {P1: (P1, P1), P2: (P2, P2), S2: (P2, P2),
+               S3PRIME: (S3PRIME, P3PRIME), S4: (S4, P4), S5: (S5, P5),
+               S6: (S6, P6)}
 
 
 def _classifier_family(family, shape):
-    """The classifier of a family whose parameters have the given (sorted)
-    names, or None when they are not natural coordinates.  P3prime given
-    by (v1, v2) is in S3prime's."""
+    """(classifier, citation key) of a family whose parameters have the
+    given (sorted) names, or None when they are not natural coordinates.
+    P3prime given by (v1, v2) is in S3prime's."""
     if family == P3PRIME and shape == ("v1", "v2"):
-        return S3PRIME
+        family = S3PRIME
     return _CLASSIFIER.get(family)
 
 
@@ -497,9 +490,6 @@ def in_natural_coordinates(family, params) -> bool:
     """Whether classify takes params of family as they are, with no
     reduce_parameters first."""
     return _classifier_family(family, tuple(sorted(params))) is not None
-
-
-_CLASSIFIER_CITATION = {P1: P1, P2: P2, S3PRIME: P3PRIME, S4: P4, S5: P5, S6: P6}
 
 
 def classify(family, params, *, table=None) -> ClassificationResult:
@@ -512,11 +502,12 @@ def classify(family, params, *, table=None) -> ClassificationResult:
     if family not in FAMILIES:
         raise ConstraintError(f"unknown family {family!r}")
     table, p = _coerce_params(family, params, table)
-    tag = _classifier_family(family, tuple(sorted(p)))
-    if tag is None:
+    found = _classifier_family(family, tuple(sorted(p)))
+    if found is None:
         raise ConstraintError(
             f"classify needs natural coordinates; apply reduce_parameters to {family} first")
-    source = CITATIONS[_CLASSIFIER_CITATION[tag]]
+    tag, cited = found
+    source = CITATIONS[cited]
     notes = [_NOTE_S5_EXCEPTIONAL] if tag == S5 else []
     if tag == P1:
         return ClassificationResult(STRONGLY_MINIMAL, None, source, (), notes)
@@ -556,10 +547,13 @@ class _RootBuilder:
     def __init__(self, table):
         self.table = table
         self.roots = []     # (name, radicand, plus root, branchable)
-        self.relations = []
+
+    @property
+    def relations(self):
+        """(name, radicand) of every root taken, meaning name^2 = radicand."""
+        return [(name, radicand) for name, radicand, _, _ in self.roots]
 
     def sqrt(self, name, radicand: FieldElem) -> FieldElem:
-        self.relations.append((name, radicand))
         if radicand.is_zero():
             root = self.table.zero()
             self.roots.append((name, radicand, root, False))

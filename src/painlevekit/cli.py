@@ -8,7 +8,12 @@ reader that closes the pipe early ends the command quietly, with exit
 code 1 and nothing on stderr.
 
 Parameters are exact rationals (`--param alpha=3/2`); the prefix
-`sym:` declares a transcendental instead (`--param alpha=sym:a`).
+`sym:` declares a transcendental instead (`--param alpha=sym:a`).  A
+parameter given twice is a usage error.
+
+Each subcommand is declared once, in _build_parser, which binds its
+handler to its subparser (set_defaults); each --map name is a key of
+_MAPS, whose value builds the map's source, map and target.
 
 Each run is a fresh process, so imports are part of every command's wall
 time.  numpy is loaded only by the subcommands that compute on arrays:
@@ -26,6 +31,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import catalog, dvariety, transforms
 from .catalog import FAMILIES
@@ -33,9 +39,6 @@ from .dvariety import SearchBounds
 from .errors import ConstraintError, DomainError
 from .field import SymbolTable, parse, parse_poly
 from .transforms import CONVENTION_MINUS, CONVENTION_PLUS
-
-_MAPS = ("identity", "p2-to-s2", "p3prime-scaling", "p3prime-scaling-corrected",
-         "p3prime-scaling-general", "p3-to-p3prime", "p3-to-p3prime-alt")
 
 
 class _UsageError(Exception):
@@ -52,8 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact and numeric workbench for the Painleve families")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, help_text, family=True):
+    def add(name, handler, help_text, family=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if family:
             p.add_argument("--family", required=True, choices=FAMILIES)
         p.add_argument("--param", action="append", default=[],
@@ -63,40 +67,43 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit a JSON report instead of text")
         return p
 
-    add("classify", "strong-minimality verdict for a parameter point")
-    add("instantiate", "print every stored form of a family member")
+    add("classify", _cmd_classify, "strong-minimality verdict for a parameter point")
+    add("instantiate", _cmd_instantiate, "print every stored form of a family member")
 
-    p = add("darboux", "search for Darboux polynomials within bounds")
+    p = add("darboux", _cmd_darboux, "search for Darboux polynomials within bounds")
     p.add_argument("--deg-xy", type=int, required=True)
     p.add_argument("--deg-t", type=int, required=True)
     p.add_argument("--cofactor-box", type=int, default=3)
     p.add_argument("--cofactor-deg", type=int, default=None,
                    help="cap the cofactor's total degree explicitly")
 
-    p = add("verify-invariant", "check one polynomial for D(P) = G*P")
+    p = add("verify-invariant", _cmd_verify_invariant,
+            "check one polynomial for D(P) = G*P")
     p.add_argument("--poly", required=True, metavar="EXPR")
 
-    p = add("first-integrals", "search for polynomials with D(P) = 0")
+    p = add("first-integrals", _cmd_first_integrals,
+            "search for polynomials with D(P) = 0")
     p.add_argument("--deg-xy", type=int, required=True)
     p.add_argument("--deg-t", type=int, required=True)
 
-    p = add("tangent-lift", "shifted tangent equations of generators",
-            family=False)
+    p = add("tangent-lift", _cmd_tangent_lift,
+            "shifted tangent equations of generators", family=False)
     p.add_argument("--family", choices=FAMILIES,
                    help="optional; makes the family's parameters available")
     p.add_argument("--poly", action="append", required=True, metavar="EXPR",
                    help="generator polynomial; repeatable")
 
-    p = add("transform-check", "certify a named change of variables",
-            family=False)
+    p = add("transform-check", _cmd_transform_check,
+            "certify a named change of variables", family=False)
     p.add_argument("--family", choices=FAMILIES,
                    help="only used by --map identity")
     p.add_argument("--map", required=True, choices=_MAPS, dest="map_name")
 
-    add("hamiltonian-check", "residuals of the stored Hamiltonian")
+    add("hamiltonian-check", _cmd_hamiltonian_check,
+        "residuals of the stored Hamiltonian")
 
-    def add_numeric(name, help_text):
-        p = add(name, help_text)
+    def add_numeric(name, handler, help_text):
+        p = add(name, handler, help_text)
         p.add_argument("--initial", required=True, metavar="T0,Y0,X0",
                        help="three complex numbers a+bi")
         p.add_argument("--path", required=True, metavar="T0,T1,...",
@@ -104,13 +111,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-9)
         return p
 
-    p = add_numeric("integrate", "integrate the system along a path")
+    p = add_numeric("integrate", _cmd_integrate, "integrate the system along a path")
     p.add_argument("--csv", metavar="FILE", help="write samples as CSV")
 
-    p = add_numeric("drift", "max |P| along a trajectory")
+    p = add_numeric("drift", _cmd_drift, "max |P| along a trajectory")
     p.add_argument("--poly", required=True, metavar="EXPR")
 
-    p = add_numeric("probe", "search samples for an algebraic relation")
+    p = add_numeric("probe", _cmd_probe, "search samples for an algebraic relation")
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--basis", metavar="M1,M2,...",
@@ -125,6 +132,8 @@ def _parse_params(pairs, table: SymbolTable) -> dict:
         name, val = name.strip(), val.strip()
         if not eq or not name or not val:
             raise _UsageError(f"--param wants NAME=VALUE, got {raw!r}")
+        if name in out:
+            raise _UsageError(f"--param {name!r} is given more than once")
         if val.startswith("sym:"):
             sname = val[4:].strip()
             if not sname:
@@ -155,6 +164,11 @@ def _checked_params(family: str, pairs) -> tuple:
     params = _parse_params(pairs, table)
     _check_param_names(family, params)
     return table, params
+
+
+def _instance(family: str, pairs):
+    table, params = _checked_params(family, pairs)
+    return catalog.instantiate(family, params, table=table)
 
 
 def _parse_initial(text: str) -> tuple:
@@ -261,8 +275,7 @@ def _cmd_classify(ns):
 
 
 def _cmd_instantiate(ns):
-    table, params = _checked_params(ns.family, ns.param)
-    inst = catalog.instantiate(ns.family, params, table=table)
+    inst = _instance(ns.family, ns.param)
     forms = {
         "second_order": None if inst.second_order is None
         else str(inst.second_order),
@@ -300,8 +313,7 @@ def _cleared_derivation(inst):
 
 
 def _cmd_darboux(ns):
-    table, params = _checked_params(ns.family, ns.param)
-    inst = catalog.instantiate(ns.family, params, table=table)
+    inst = _instance(ns.family, ns.param)
     cleared, warnings = _cleared_derivation(inst)
     bounds = SearchBounds(ns.deg_xy, ns.deg_t, ns.cofactor_box,
                           cofactor_deg=ns.cofactor_deg)
@@ -316,10 +328,9 @@ def _cmd_darboux(ns):
 
 
 def _cmd_verify_invariant(ns):
-    table, params = _checked_params(ns.family, ns.param)
-    inst = catalog.instantiate(ns.family, params, table=table)
+    inst = _instance(ns.family, ns.param)
     cleared, warnings = _cleared_derivation(inst)
-    P = parse_poly(ns.poly, table)
+    P = parse_poly(ns.poly, inst.table)
     cert = dvariety.verify_darboux(cleared, P)
     if cert is not None:
         return _report("verify-invariant", "Invariant",
@@ -331,8 +342,7 @@ def _cmd_verify_invariant(ns):
 
 
 def _cmd_first_integrals(ns):
-    table, params = _checked_params(ns.family, ns.param)
-    inst = catalog.instantiate(ns.family, params, table=table)
+    inst = _instance(ns.family, ns.param)
     cleared, warnings = _cleared_derivation(inst)
     found = dvariety.first_integral_search(
         cleared, SearchBounds(ns.deg_xy, ns.deg_t))
@@ -346,8 +356,7 @@ def _cmd_first_integrals(ns):
 
 def _cmd_tangent_lift(ns):
     if ns.family:
-        table, params = _checked_params(ns.family, ns.param)
-        catalog.instantiate(ns.family, params, table=table)
+        table = _instance(ns.family, ns.param).table
     else:
         table = SymbolTable()
         _parse_params(ns.param, table)
@@ -359,64 +368,70 @@ def _cmd_tangent_lift(ns):
                    generators=[str(P) for P in gens], lifted=lifted)
 
 
-def _transform_setup(ns):
-    table = SymbolTable()
-    params = _parse_params(ns.param, table)
-    name = ns.map_name
+def _identity_setup(ns, table, params):
+    if not ns.family:
+        raise _UsageError("--map identity needs --family")
+    _check_param_names(ns.family, params)
+    inst = catalog.instantiate(ns.family, params, table=table)
+    vmap = (transforms.identity_point_map(table) if inst.system is not None
+            else transforms.identity_scalar_map(table))
+    return inst, vmap, inst
 
-    if name == "identity":
-        if not ns.family:
-            raise _UsageError("--map identity needs --family")
-        _check_param_names(ns.family, params)
-        inst = catalog.instantiate(ns.family, params, table=table)
-        vmap = (transforms.identity_point_map(table) if inst.system is not None
-                else transforms.identity_scalar_map(table))
-        return inst, vmap, inst
 
-    if name == "p2-to-s2":
-        _check_param_names("P2", params)
-        src = catalog.instantiate("P2", params, table=table)
-        tgt = catalog.instantiate("S2", params, table=table)
-        return src, transforms.p2_to_s2_map(table), tgt
+def _p2_to_s2_setup(ns, table, params):
+    _check_param_names("P2", params)
+    src = catalog.instantiate("P2", params, table=table)
+    tgt = catalog.instantiate("S2", params, table=table)
+    return src, transforms.p2_to_s2_map(table), tgt
 
-    if name.startswith("p3prime-scaling"):
-        _check_param_names("P3prime", params)
-        relation = {"p3prime-scaling": "printed",
-                    "p3prime-scaling-corrected": "corrected",
-                    "p3prime-scaling-general": "general"}[name]
-        if relation != "general":
-            # the scale factors are square roots in gamma and delta, so
-            # those two must stay symbolic and keep their names
-            for pname in ("gamma", "delta"):
-                v = params.get(pname)
-                if pname not in table.names or v != table.sym(pname):
-                    raise _UsageError(
-                        f"--map {name} checks the symbolic relation; pass "
-                        f"--param {pname}=sym:{pname}")
-        src = catalog.instantiate("P3prime", params, table=table)
-        vmap = transforms.p3prime_scaling_map(table, relation)
-        lam, mu = table.sym("lam"), table.sym("mu")
-        p = src.params
-        if relation == "general":
-            tparams = {"alpha": lam * p["alpha"], "beta": mu * p["beta"] / lam,
-                       "gamma": lam ** 2 * p["gamma"],
-                       "delta": mu ** 2 * p["delta"] / lam ** 2}
-        else:
-            tparams = {"alpha": lam * p["alpha"], "beta": mu * p["beta"] / lam,
-                       "gamma": 4, "delta": -4}
-        tgt = catalog.instantiate("P3prime", tparams, table=table)
-        return src, vmap, tgt
 
-    # p3-to-p3prime and its halved-time variant
+def _p3prime_scaling_setup(relation, ns, table, params):
+    _check_param_names("P3prime", params)
+    if relation != "general":
+        # the scale factors are square roots in gamma and delta, so
+        # those two must stay symbolic and keep their names
+        for pname in ("gamma", "delta"):
+            v = params.get(pname)
+            if pname not in table.names or v != table.sym(pname):
+                raise _UsageError(
+                    f"--map {ns.map_name} checks the symbolic relation; pass "
+                    f"--param {pname}=sym:{pname}")
+    src = catalog.instantiate("P3prime", params, table=table)
+    vmap = transforms.p3prime_scaling_map(table, relation)
+    lam, mu = table.sym("lam"), table.sym("mu")
+    p = src.params
+    tparams = {"alpha": lam * p["alpha"], "beta": mu * p["beta"] / lam,
+               "gamma": 4, "delta": -4}
+    if relation == "general":
+        tparams.update(gamma=lam ** 2 * p["gamma"],
+                       delta=mu ** 2 * p["delta"] / lam ** 2)
+    tgt = catalog.instantiate("P3prime", tparams, table=table)
+    return src, vmap, tgt
+
+
+def _p3_to_p3prime_setup(alt, ns, table, params):
     _check_param_names("P3", params)
-    alt = name.endswith("-alt")
     src = catalog.instantiate("P3", params, table=table)
     tgt = catalog.instantiate("P3prime", params, table=table)
     return src, transforms.p3_to_p3prime_map(table, alt=alt), tgt
 
 
+# each --map name and the setup returning its (source, map, target)
+_MAPS = {
+    "identity": _identity_setup,
+    "p2-to-s2": _p2_to_s2_setup,
+    "p3prime-scaling": partial(_p3prime_scaling_setup, "printed"),
+    "p3prime-scaling-corrected": partial(_p3prime_scaling_setup, "corrected"),
+    "p3prime-scaling-general": partial(_p3prime_scaling_setup, "general"),
+    "p3-to-p3prime": partial(_p3_to_p3prime_setup, False),
+    "p3-to-p3prime-alt": partial(_p3_to_p3prime_setup, True),
+}
+
+
 def _cmd_transform_check(ns):
-    src, vmap, tgt = _transform_setup(ns)
+    table = SymbolTable()
+    params = _parse_params(ns.param, table)
+    src, vmap, tgt = _MAPS[ns.map_name](ns, table, params)
     rep = transforms.verify_transform(src, vmap, tgt)
     witnesses = [f"{name}^2 = {val}" for name, val in vmap.relations]
     lines = [f"map: {vmap.label}", f"source: {src.family}",
@@ -426,35 +441,29 @@ def _cmd_transform_check(ns):
                    map=ns.map_name)
 
 
+_CONVENTION_VERDICTS = {CONVENTION_MINUS: "ConventionMinus",
+                        CONVENTION_PLUS: "ConventionPlus", None: "NoConvention"}
+
+
 def _cmd_hamiltonian_check(ns):
-    table, params = _checked_params(ns.family, ns.param)
-    inst = catalog.instantiate(ns.family, params, table=table)
+    inst = _instance(ns.family, ns.param)
     if inst.hamiltonian is None or inst.system is None:
         raise ConstraintError(
             f"{ns.family} stores no Hamiltonian system to check")
-    minus = transforms.hamiltonian_check(inst.hamiltonian, inst.system,
-                                         CONVENTION_MINUS)
-    plus = transforms.hamiltonian_check(inst.hamiltonian, inst.system,
-                                        CONVENTION_PLUS)
-    warnings = []
-    if minus.is_match():
-        verdict, shown = "ConventionMinus", minus
-    elif plus.is_match():
-        verdict, shown = "ConventionPlus", plus
-    else:
-        verdict, shown = "NoConvention", minus
-        warnings.append("minus-convention residuals shown")
-    lines = [f"stored convention: {inst.hamiltonian_convention}"]
-    return _report("hamiltonian-check", verdict, residuals=shown.residuals,
-                   warnings=warnings, lines=lines,
-                   stored_convention=inst.hamiltonian_convention)
+    stored = inst.hamiltonian_convention
+    shown = transforms.hamiltonian_check(inst.hamiltonian, inst.system,
+                                         stored or CONVENTION_MINUS)
+    warnings = [] if stored else ["minus-convention residuals shown"]
+    return _report("hamiltonian-check", _CONVENTION_VERDICTS[stored],
+                   residuals=shown.residuals, warnings=warnings,
+                   lines=[f"stored convention: {stored}"],
+                   stored_convention=stored)
 
 
 def _run_trajectory(ns):
     from . import numint
 
-    table, params = _checked_params(ns.family, ns.param)
-    inst = catalog.instantiate(ns.family, params, table=table)
+    inst = _instance(ns.family, ns.param)
     initial = _parse_initial(ns.initial)
     path = numint.PathSpec.parse(ns.path)
     return inst, numint.integrate(inst, initial, path, tol=ns.tol)
@@ -524,21 +533,6 @@ def _cmd_probe(ns):
                    else [str(c) for c in res.coefficients])
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "instantiate": _cmd_instantiate,
-    "darboux": _cmd_darboux,
-    "verify-invariant": _cmd_verify_invariant,
-    "first-integrals": _cmd_first_integrals,
-    "tangent-lift": _cmd_tangent_lift,
-    "transform-check": _cmd_transform_check,
-    "hamiltonian-check": _cmd_hamiltonian_check,
-    "integrate": _cmd_integrate,
-    "drift": _cmd_drift,
-    "probe": _cmd_probe,
-}
-
-
 def main(argv=None) -> int:
     try:
         code = _main(argv)
@@ -563,7 +557,7 @@ def _main(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        rep = _HANDLERS[ns.command](ns)
+        rep = ns.handler(ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

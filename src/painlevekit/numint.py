@@ -12,7 +12,8 @@ certificates in dvariety.
 in ``_accel`` runs on Python scalars, so importing this module and
 integrating leave numpy unloaded.  numpy is imported inside the functions
 that build arrays: the sample arrays of a trajectory, the drift and the
-relation probe.
+relation probe.  The run status labels COMPLETED, POLE_DETECTED and
+SINGULARITY_ABORTED are the integrator's own, imported from ``_accel``.
 """
 
 import cmath
@@ -20,6 +21,7 @@ import itertools
 import math
 
 from . import _accel
+from ._accel import COMPLETED, POLE_DETECTED, SINGULARITY_ABORTED
 from .errors import (
     ConstraintError,
     InsufficientSamplesError,
@@ -27,10 +29,6 @@ from .errors import (
     PathError,
 )
 from .field import KIND_PARAM, PhasePoly, PhaseRational
-
-COMPLETED = "Completed"
-POLE_DETECTED = "PoleDetected"
-SINGULARITY_ABORTED = "SingularityAborted"
 
 NO_RELATION_FOUND = "NoRelationFound"
 CANDIDATE_RELATION = "CandidateRelation"
@@ -364,15 +362,9 @@ def integrate(instance, initial, path, tol: float = 1e-9) -> Trajectory:
     ts, ys, xs, status, t_est = _accel.dopri5_path(instance._rhs, path.waypoints,
                                                    y0, x0, float(tol))
 
-    samples = list(zip(ts, ys, xs))
-    if status == _accel.STATUS_COMPLETED:
-        label, est = COMPLETED, None
-    elif status == _accel.STATUS_POLE:
-        label, est = POLE_DETECTED, t_est
-    else:
-        label, est = SINGULARITY_ABORTED, None
-    return Trajectory(samples, label, est, float(tol), instance.family, rhs,
-                      path.waypoints)
+    est = t_est if status == POLE_DETECTED else None
+    return Trajectory(zip(ts, ys, xs), status, est, float(tol), instance.family,
+                      rhs, path.waypoints)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,53 @@ def test_flag_scope_validation():
         instantiate("P1", {}, standard_form=True)
 
 
+_P1_NOTE = ("stored Hamiltonian gives x' = 6y^2 - t under the minus convention,"
+            " differing from the system by 2t; pass corrected_hamiltonian=True"
+            " for the -ty variant")
+_S5_NOTES = ("some printed forms of the matching vector field show 2x^2*x in the"
+             " first component; 2y^2*x is used",
+             "stored Hamiltonian is stated in the coordinates before the y/(y-1)"
+             " substitution; neither sign convention reproduces the"
+             " v-coordinate system")
+_P6_NOTE = ("second-order form keeps the printed 1/(y+1) term in the first"
+            " bracket; pass standard_form=True for the conventional 1/(y-1)")
+
+# family, flags -> (second order?, system?, Hamiltonian?, convention, notes)
+_FORMS_BUILT = [
+    ("P1", {}, (True, True, True, None, (_P1_NOTE,))),
+    ("P1", {"corrected_hamiltonian": True}, (True, True, True, "minus", ())),
+    ("P2", {}, (True, False, False, None, ())),
+    ("P3", {}, (True, False, False, None, ())),
+    ("P3prime", {}, (True, False, False, None, ())),
+    ("P4", {}, (True, False, False, None, ())),
+    ("P5", {}, (True, False, False, None, ())),
+    ("P6", {}, (True, False, False, None, (_P6_NOTE,))),
+    ("P6", {"standard_form": True}, (True, False, False, None, ())),
+    ("S2", {}, (False, True, False, None, ())),
+    ("S3prime", {}, (False, True, True, "minus", ())),
+    ("S4", {}, (False, True, False, None, ())),
+    ("S5", {}, (False, True, True, None, _S5_NOTES)),
+    ("S6", {}, (False, True, False, None, ())),
+]
+
+
+def test_every_family_builds_its_forms():
+    assert sorted({fam for fam, _, _ in _FORMS_BUILT}) == sorted(catalog.FAMILIES)
+    vals = [F(1, 3), F(1, 5), F(2, 7), F(-1, 2)]
+    for family, flags, expected in _FORMS_BUILT:
+        names = catalog.parameter_names(family)
+        params = dict(zip(names, vals))
+        if family in ("S4", "S5"):
+            # the last v closes the sum to 0
+            params[names[-1]] = -sum(vals[:len(names) - 1])
+        inst = instantiate(family, params, **flags)
+        built = (inst.second_order is not None, inst.system is not None,
+                 inst.hamiltonian is not None, inst.hamiltonian_convention,
+                 inst.notes)
+        assert built == expected, (family, flags)
+        assert (inst.derivation is not None) == (inst.system is not None)
+
+
 # -- Hamiltonian consistency ---------------------------------------------------
 
 

@@ -57,6 +57,14 @@ def test_bad_param_shape(capsys):
     assert "alpha" in err and "beta" in err
 
 
+def test_repeated_param_is_usage_error(capsys):
+    # the last value used to win: alpha=1/3 gave StronglyMinimal, exit 0
+    code, out, err = _run(capsys, "classify", "--family", "P2",
+                          "--param", "alpha=1/2", "--param", "alpha=1/3")
+    assert code == 2 and out == ""
+    assert "'alpha'" in err and "more than once" in err
+
+
 def test_bad_initial_is_usage_error(capsys):
     code, _, err = _run(capsys, "integrate", "--family", "S2",
                         "--param", "alpha=-1/2", "--initial", "1,2",
@@ -478,6 +486,21 @@ def test_hamiltonian_check_minus_convention(capsys):
     assert code == 0
     assert rep["verdict"] == "ConventionMinus"
     assert rep["residuals"] == ["0", "0"]
+
+
+def test_hamiltonian_check_s5_matches_no_convention(capsys):
+    code, rep, err = _run_json(capsys, "hamiltonian-check", "--family", "S5",
+                               "--param", "v1=1/3", "--param", "v2=1/5",
+                               "--param", "v3=-1/2", "--param", "v4=-1/30")
+    assert code == 0 and err == ""
+    assert rep["verdict"] == "NoConvention"
+    assert rep["stored_convention"] is None
+    assert rep["warnings"] == ["minus-convention residuals shown"]
+    assert rep["residuals"] == [
+        "((-2)/t)*x*y^3 + (6/t)*x*y^2 + ((-4)/t)*x*y + ((t - 6/5)/t)*y^2"
+        " + (29/15/t)*y + ((-4/15)/t)",
+        "(3/t)*x^2*y^2 + ((-6)/t)*x^2*y + (2/t)*x^2 + ((-2*t + 12/5)/t)*x*y"
+        " + ((-29/15)/t)*x + ((-5/6*t + 11/36)/t)"]
 
 
 # -- numeric commands -----------------------------------------------------------------

@@ -99,7 +99,7 @@ def argvs(draw):
     if command in SEARCH + NUMERIC and mostly():
         family = rnd.choice(SYSTEMS)
     if command == "transform-check":
-        map_name = value((cli._MAPS, ("p2-to-p9",)))
+        map_name = value((tuple(cli._MAPS), ("p2-to-p9",)))
         if mostly():
             pairs.append(("--map", map_name))
         if map_name in MAP_FAMILY and mostly():

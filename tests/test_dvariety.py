@@ -370,3 +370,21 @@ def test_integer_kernel_matches_sympy_nullspace(system):
     want = [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in oracle]
     assert _integer_kernel(int_rows, ncols) == want
     assert int_rows == given_rows
+
+
+def test_apply_is_apply_derivation(tab):
+    D = d1(tab)
+    for text in ("x", "y^2 - t*x", "x^2 - 4*y^3 - 2*t*y"):
+        P = parse(text, tab)
+        assert D.apply(P) == apply_derivation(D, P)
+
+
+def test_certificates_compare_by_polynomial_and_cofactor(tab):
+    # alpha = -1/2: the line x = 0 with cofactor 2*y
+    D = d2(tab, Fraction(-1, 2))
+    x, G = parse("x", tab), parse("2*y", tab)
+    cert = DarbouxCertificate(D, x, G)
+    assert cert == DarbouxCertificate(D, x, G)
+    assert cert == verify_darboux(D, x)
+    assert cert != DarbouxCertificate(D, 2 * x, G)
+    assert cert != (x, G)

@@ -948,3 +948,29 @@ def test_operations_do_not_mutate():
     snapshot = dict(e.num), dict(e.den)
     _ = e * e, e + 5, e / (t - 2), e.d()
     assert (dict(e.num), dict(e.den)) == snapshot
+
+
+def test_rsub_puts_the_number_first():
+    tab = SymbolTable()
+    a = tab.declare_param("a")
+    assert 1 - a == parse("1 - a", tab)
+    assert Fraction(1, 2) - a == parse("1/2 - a", tab)
+    x = PhasePoly.var(tab, "x")
+    assert 1 - x == parse("1 - x", tab)
+    assert a - x == parse("a - x", tab)
+
+
+def test_phase_rational_eval_complex_divides_numerator_by_denominator():
+    tab = SymbolTable()
+    tab.declare_param("a")
+    R = parse("(a*x + t*y^2)/(y - x + 1)", tab, allow_rational=True)
+    assert isinstance(R, PhaseRational)
+    assign = {"a": 0.5 - 1j, "t": 2 + 0.25j}
+    x, y = 0.3 + 0.1j, -1.2 + 0.4j
+    want = R.num.eval_complex(assign, x, y) / R.den.eval_complex(assign, x, y)
+    assert R.eval_complex(assign, x, y) == want
+    # the value itself, from the text above
+    a, t = assign["a"], assign["t"]
+    assert abs(want - (a * x + t * y * y) / (y - x + 1)) < 1e-12
+    with pytest.raises(ZeroDivisionError):
+        R.eval_complex(assign, 1 + 0j, 0j)

@@ -48,7 +48,8 @@ from hypothesis import strategies as st
 from painlevekit import catalog, dvariety, field, transforms
 from painlevekit.dvariety import DVectorField, SearchBounds
 from painlevekit.errors import RadicalDeclarationError
-from painlevekit.field import FieldElem, PhasePoly, SymbolTable, exact_divide
+from painlevekit.field import (FieldElem, PhasePoly, PhaseRational, SymbolTable,
+                              exact_divide)
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "canonical_forms.txt"
 
@@ -636,8 +637,12 @@ def _monomial_quotients(table):
 _ONE_OVER_AB = QT.one() / (QT.sym("a") * QT.sym("b"))
 
 
-@pytest.mark.xfail(strict=True, reason="field._elem_str leaves a one-term denominator in "
-                   "several symbols bare: 1/(a*b) prints as 1/a*b, which parses as b/a")
+_BARE_DENOMINATOR = pytest.mark.xfail(
+    strict=True, reason="field._elem_str leaves a one-term denominator in "
+    "several symbols bare: 1/(a*b) prints as 1/a*b, which parses as b/a")
+
+
+@_BARE_DENOMINATOR
 @ORACLE
 @given(TABLES.flatmap(lambda tab: st.tuples(
     _monomial_quotients(tab),
@@ -649,6 +654,21 @@ def test_str_parses_back_to_its_value(drawn):
     z, P = drawn
     assert field.parse(str(z), z.table) == z
     assert field.parse(str(P), P.table) == P
+
+
+@_BARE_DENOMINATOR
+@ORACLE
+@given(TABLES.flatmap(lambda tab: st.tuples(
+    st.dictionaries(st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)]),
+                    _monomial_quotients(tab), min_size=1, max_size=2),
+    _monomial_quotients(tab), _monomial_quotients(tab)).map(
+        lambda drawn: PhaseRational(
+            tab, PhasePoly(tab, drawn[0]),
+            PhasePoly.var(tab, "y").scale(drawn[1]) + PhasePoly.const(tab, drawn[2])))))
+@example(PhaseRational(QT, PhasePoly.var(QT, "x").scale(_ONE_OVER_AB),
+                       PhasePoly.var(QT, "y") + 1))
+def test_phase_rational_str_parses_back_to_its_value(R):
+    assert field.parse(str(R), R.table, allow_rational=True) == R
 
 
 # ---------------------------------------------------------------------------

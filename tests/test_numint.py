@@ -185,7 +185,7 @@ def test_step_cap_aborts_with_one_sample_per_step():
     rhs = numint.compile_system(_s2(F(1, 2)))
     args = (_accel.compile_rhs(*rhs), [1, 3], 0.3, 1.18, 1e-12)
     ts, ys, xs, status, t_est = _accel.dopri5_path(*args, maxsteps=50)
-    assert status == _accel.STATUS_ABORTED
+    assert status == _accel.SINGULARITY_ABORTED
     assert len(ts) == len(ys) == len(xs) == 51
     assert t_est == ts[-1] and 1 < ts[-1].real < 3
     assert len(_accel.dopri5_path(*args)[0]) > 51

@@ -93,7 +93,7 @@ def _step_cap_run():
     rhs = numint.compile_system(catalog.instantiate(*_FAMILIES["S2-parabola"]))
     ts, ys, xs, status, t_est = _accel.dopri5_path(_accel.compile_rhs(*rhs), [1, 3],
                                                    0.3, 1.18, 1e-12, maxsteps=50)
-    assert status == _accel.STATUS_ABORTED
+    assert status == _accel.SINGULARITY_ABORTED
     return Trajectory(zip(ts, ys, xs), numint.SINGULARITY_ABORTED, None, 1e-12, "S2", rhs)
 
 
